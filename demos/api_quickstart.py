@@ -1,8 +1,9 @@
 """Building a model programmatically and inspecting the machinery.
 
 A minimal one-way hierarchy assembled from blocks, fitted, and split; also a
-peek at the pieces underneath: the sparse prior precision, the explored
-hyperparameter grid, and a joint posterior of a few predictor coordinates.
+peek at the pieces underneath: the block-coordinate prior precision, the
+explored hyperparameter grid, and a joint posterior of a few predictor
+coordinates.
 """
 
 import numpy as np
@@ -29,8 +30,9 @@ model = build_model(spec)
 print(f"latent layout: {model.n_rows} predictor coordinates + "
       f"{model.z_dim} block coordinates")
 
-q = model.prior_precision(np.zeros(2))
-print(f"prior precision: {q.n}x{q.n} with {q.data.size} stored lower-triangle entries")
+q = model.z_prior(np.zeros(2))
+print(f"block-coordinate prior precision: {q.n}x{q.n} with {q.data.size} "
+      "stored lower-triangle entries")
 
 config = InferenceConfig()
 grid = explore_hypergrid(model, config)

@@ -3,7 +3,7 @@
 from .model import (AdjacencyGraph, Besag, DataTable, Fixed, FixedOmega,
                     FixedPrecision, GaussianThetaPrior, Iid, Iid2d, Intercept,
                     LikelihoodFamily, LogGammaPrior, ModelError, ModelSpec,
-                    Wishart2dPrior, build_model, mask_rows, read_adjacency,
+                    Wishart2dPrior, build_model, read_adjacency,
                     read_data_csv, read_model_json, wishart2d_internal)
 from .inference import (FitResult, GaussianApprox, HyperGrid, InferenceConfig,
                         InferenceError, LatentSummary, LincombPosterior,
@@ -17,6 +17,6 @@ from .analytic import AnalyticNormalModel, latent_tail, pit, two_sided_p
 from .datasets import (LatticeParams, generate_lattice, load_rats,
                        square_lattice_graph)
 from .sparse import (CholeskyFactor, NotPositiveDefinite, SparseSymmetric,
-                     factorize, marginal_variances, solve, solve_for_columns)
+                     factorize, solve_for_columns)
 
 __version__ = "0.1.0"

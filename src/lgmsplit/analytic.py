@@ -9,8 +9,8 @@ for their two-sided combination.
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
-from .special import norm_cdf
 from .nodesplit import chisq_tail
 
 
@@ -48,12 +48,12 @@ class AnalyticNormalModel:
     def pit(self, i):
         """Pr(Y_i <= y_i | the other observations)."""
         self._check(i)
-        return float(norm_cdf((self.y[i] - self.loo_mean(i)) / self.sigma_tilde))
+        return float(ndtr((self.y[i] - self.loo_mean(i)) / self.sigma_tilde))
 
     def latent_tail(self, i):
         """Pr(delta <= 0) for delta = (mu | y_i) - (mu | y_-i)."""
         self._check(i)
-        return float(norm_cdf(-self.mu_delta(i) / self.sigma_tilde))
+        return float(ndtr(-self.mu_delta(i) / self.sigma_tilde))
 
     def two_sided_p(self, i):
         """Two-sided conflict p-value, 2 min(u, 1-u) at u = pit(i).
@@ -63,7 +63,7 @@ class AnalyticNormalModel:
         """
         self._check(i)
         z = (self.y[i] - self.loo_mean(i)) / self.sigma_tilde
-        return 2.0 * float(norm_cdf(-abs(z)))
+        return 2.0 * float(ndtr(-abs(z)))
 
     def two_sided_p_chisq(self, i):
         """Same tail probability through the one-degree chi-squared form."""

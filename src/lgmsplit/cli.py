@@ -9,27 +9,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-
 
 from .datasets import LatticeParams, write_lattice_files
 from .inference import InferenceConfig, InferenceError, fit
 from .model import ModelError, build_model, read_data_csv, read_model_json
 from .nodesplit import conflict_pvalues, result_to_csv, result_to_json_obj
-
-
-@dataclass
-class RunConfig:
-    command: str
-    data: str = None
-    model: str = None
-    group: str = None
-    q: float = 0.10
-    out: str = None
-    fmt: str = "csv"
-    verbose: bool = False
-    full: bool = False
-    threads: int = 1
 
 
 def _build_parser():
@@ -82,20 +66,20 @@ def _write_out(text, out_path):
             fh.write(text)
 
 
-def _load(config):
-    data = read_data_csv(config.data)
-    spec = read_model_json(config.model, data)
+def _load(args):
+    data = read_data_csv(args.data)
+    spec = read_model_json(args.model, data)
     return build_model(spec)
 
 
-def cmd_fit(config):
+def cmd_fit(args):
     """Fit and report hyperparameter and latent posterior summaries."""
-    model = _load(config)
-    infcfg = InferenceConfig(verbose=config.verbose)
+    model = _load(args)
+    infcfg = InferenceConfig(verbose=args.verbose)
     t0 = time.monotonic()
     result = fit(model, infcfg)
     seconds = time.monotonic() - t0
-    if config.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "hyperparameters": [
                 {"name": nm, "mean": float(mu), "sd": float(sd)}
@@ -109,7 +93,7 @@ def cmd_fit(config):
             "grid_points": int(result.grid.n_points),
             "timing": {"fit_seconds": seconds},
         }
-        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
+        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     else:
         lines = ["section,name,mean,sd"]
         for nm, mu, sd in zip(result.theta_names, result.theta_mean, result.theta_sd):
@@ -117,31 +101,31 @@ def cmd_fit(config):
         for lab, mu, sd in zip(result.latent.labels, result.latent.mean,
                                result.latent.sd):
             lines.append(f"latent,{lab},{repr(float(mu))},{repr(float(sd))}")
-        _write_out("\n".join(lines) + "\n", config.out)
+        _write_out("\n".join(lines) + "\n", args.out)
     print(f"fit finished in {seconds:.2f}s "
           f"({result.grid.n_points} grid points)", file=sys.stderr)
     return 0
 
 
-def cmd_cut(config):
+def cmd_cut(args):
     """Run the node-split and emit the conflict table."""
-    model = _load(config)
-    group = config.group or model.spec.group
+    model = _load(args)
+    group = args.group or model.spec.group
     if group is None:
         raise ModelError("no grouping variable: pass --group or set it in the model")
-    if not 0 < config.q < 1:
-        raise ModelError(f"--q must be in (0, 1), got {config.q}")
-    infcfg = InferenceConfig(verbose=config.verbose)
-    result = conflict_pvalues(model, group, q=config.q, config=infcfg,
-                              n_threads=config.threads)
-    if config.fmt == "json":
-        doc = result_to_json_obj(result, full=config.full)
-        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
+    if not 0 < args.q < 1:
+        raise ModelError(f"--q must be in (0, 1), got {args.q}")
+    infcfg = InferenceConfig(verbose=args.verbose)
+    result = conflict_pvalues(model, group, q=args.q, config=infcfg,
+                              n_threads=args.threads)
+    if args.fmt == "json":
+        doc = result_to_json_obj(result, full=args.full)
+        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        _write_out(result_to_csv(result), config.out)
+        _write_out(result_to_csv(result), args.out)
     print(f"initial fit {result.fit_seconds:.2f}s, "
           f"node-split {result.split_seconds:.2f}s, "
-          f"{len(result.flagged)} group(s) flagged at q={config.q:g}",
+          f"{len(result.flagged)} group(s) flagged at q={args.q:g}",
           file=sys.stderr)
     if result.n_failed:
         print(f"warning: {result.n_failed} group(s) failed", file=sys.stderr)
@@ -164,13 +148,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "fit":
-            return cmd_fit(RunConfig(command="fit", data=args.data, model=args.model,
-                                     out=args.out, fmt=args.fmt, verbose=args.verbose))
+            return cmd_fit(args)
         if args.command == "cut":
-            return cmd_cut(RunConfig(command="cut", data=args.data, model=args.model,
-                                     group=args.group, q=args.q, out=args.out,
-                                     fmt=args.fmt, verbose=args.verbose,
-                                     full=args.full, threads=args.threads))
+            return cmd_cut(args)
         if args.command == "gen-lattice":
             return cmd_gen_lattice(args)
     except (ModelError, InferenceError) as exc:

@@ -88,7 +88,7 @@ class GaussianApprox:
             if zdim == 0:
                 self._sigma_z = np.zeros((0, 0))
             else:
-                sig = self.factor_z.solve_many(np.eye(zdim))
+                sig = self.factor_z.solve(np.eye(zdim))
                 sig = 0.5 * (sig + sig.T)
                 a_con = self._model.z_constraints
                 if a_con.shape[0]:
@@ -238,7 +238,7 @@ def gaussian_approximation(model, theta, config=None, start=None):
         rhs = a.T @ ((kap / (kap + c)) * b_eta)
         z_new = factor.solve(rhs)
         if k_con:
-            x = factor.solve_many(a_con.T)
+            x = factor.solve(a_con.T)
             gmat = a_con @ x
             chol = scipy.linalg.cho_factor(0.5 * (gmat + gmat.T), lower=True)
             z_new = z_new - x @ scipy.linalg.cho_solve(chol, a_con @ z_new)
@@ -308,7 +308,7 @@ def log_posterior_theta(model, theta, config=None, approx=None):
     if k_con:
         a_con = model.z_constraints
         prior_factor = factorize(z_prior, ordering=model.z_ordering())
-        x = prior_factor.solve_many(a_con.T)
+        x = prior_factor.solve(a_con.T)
         gmat = a_con @ x
         chol = scipy.linalg.cho_factor(0.5 * (gmat + gmat.T), lower=True)
         r = a_con @ approx.z

@@ -1,10 +1,13 @@
-"""Declarative latent Gaussian models and their compiled precision assemblers.
+"""Declarative latent Gaussian models and their block-space prior assembler.
 
 A model is a likelihood plus an ordered list of additive effect blocks over a
 data table.  The latent field is laid out as the per-row linear predictor
 first, followed by the block coefficients; the predictor coordinates are tied
 to the sum of their block contributions by a large fixed precision so that
-joint posteriors of predictor subsets are well defined.
+joint posteriors of predictor subsets are well defined.  Inference eliminates
+the predictor through that tie, so the compiled model assembles only the
+block-coordinate prior precision and the design; the full field remains the
+layout in which results are reported.
 
 Compiled models are immutable; masking responses or swapping the
 hyperparameter prior returns cheap copies sharing the assembled structure.
@@ -596,10 +599,10 @@ class ModelSpec:
 
 
 class _Stamp:
-    __slots__ = ("master_idx", "base", "mult", "infer_only")
+    __slots__ = ("pos", "base", "mult", "infer_only")
 
-    def __init__(self, master_idx, base, mult, infer_only):
-        self.master_idx = master_idx
+    def __init__(self, pos, base, mult, infer_only):
+        self.pos = pos
         self.base = base
         self.mult = mult
         self.infer_only = infer_only
@@ -615,7 +618,7 @@ class _Slot:
 
 
 class CompiledModel:
-    """Assembler for the joint latent prior precision and likelihood terms."""
+    """Assembler for the block-coordinate prior precision and likelihood terms."""
 
     def __init__(self, spec):
         data = spec.data
@@ -676,66 +679,46 @@ class CompiledModel:
             raise ModelError("replacement hyperprior has wrong dimension")
 
         self._assemble(data)
-        self._ordering = None
 
     # -- assembly ----------------------------------------------------------
 
     def _assemble(self, data):
-        n = self.n_rows
-        kappa = TIE_PRECISION
-        rows = [np.arange(n)]
-        cols = [np.arange(n)]
-        vals = [np.full(n, kappa)]
+        """Block-coordinate prior stamps, design products and constraints.
 
-        # design entries per data row, global latent columns
+        The predictor coordinates are tied to their additive decomposition
+        with precision kappa; inference eliminates them in closed form, so
+        only the block coordinates z are assembled here.  The tied joint has
+        log determinant n_rows * log(kappa) plus that of the z prior.
+        """
+        n = self.n_rows
+        zdim = self.z_dim
+        z_offsets = [off - n for off in self.block_offsets]
+
+        # design entries per data row, block-coordinate columns
         drows_all = []
-        dcols_all = []
+        zcols_all = []
         dvals_all = []
-        for blk, off in zip(self.spec.blocks, self.block_offsets):
+        for blk, off in zip(self.spec.blocks, z_offsets):
             dr, dc, dv = blk.design(data)
             drows_all.append(dr)
-            dcols_all.append(dc + off)
+            zcols_all.append(dc + off)
             dvals_all.append(dv)
         if drows_all:
             drows = np.concatenate(drows_all)
-            dcols = np.concatenate(dcols_all)
+            zcols = np.concatenate(zcols_all)
             dvals = np.concatenate(dvals_all)
         else:
             drows = np.zeros(0, dtype=np.int64)
-            dcols = np.zeros(0, dtype=np.int64)
+            zcols = np.zeros(0, dtype=np.int64)
             dvals = np.zeros(0)
-        self._design = (drows, dcols, dvals)
-
-        # tie eta to its additive predictor: cross terms and A'A
-        rows.append(dcols)
-        cols.append(drows)
-        vals.append(-kappa * dvals)
-        per_row = [[] for _ in range(n)]
-        for r, c, v in zip(drows, dcols, dvals):
-            per_row[r].append((int(c), float(v)))
-        aa_r, aa_c, aa_v = [], [], []
-        for entries in per_row:
-            for a in range(len(entries)):
-                ca, va = entries[a]
-                for b in range(a, len(entries)):
-                    cb, vb = entries[b]
-                    aa_r.append(max(ca, cb))
-                    aa_c.append(min(ca, cb))
-                    aa_v.append(kappa * va * vb)
-        rows.append(np.array(aa_r, dtype=np.int64))
-        cols.append(np.array(aa_c, dtype=np.int64))
-        vals.append(np.array(aa_v))
 
         # block prior contributions: constants now, theta-scaled ones as stamps
         stamp_specs = []  # (rows, cols, base, mult, infer_only)
         constraint_rows = []
-        self._prior_logdet_const = n * math.log(kappa)
+        self._prior_logdet_const = n * math.log(TIE_PRECISION)
         self._prior_logdet_terms = []  # callables theta -> contribution
-        for blk, off, in zip(self.spec.blocks, self.block_offsets):
+        for blk, off in zip(self.spec.blocks, z_offsets):
             if blk.kind in ("intercept", "fixed"):
-                rows.append(np.array([off], dtype=np.int64))
-                cols.append(np.array([off], dtype=np.int64))
-                vals.append(np.array([blk.precision]))
                 self._prior_logdet_const += math.log(blk.precision)
             elif blk.kind == "iid":
                 idx = off + np.arange(blk.size)
@@ -791,55 +774,15 @@ class CompiledModel:
                 self._prior_logdet_terms.append(
                     lambda th, m=blk.size, f=mult, c=float(ldk): m * math.log(f(th)) + c)
                 for comp in range(blk.graph.n_components):
-                    row = np.zeros(self.latent_dim)
+                    row = np.zeros(zdim)
                     row[idx[blk.graph.components == comp]] = 1.0
                     constraint_rows.append(row)
             else:
                 raise ModelError(f"unknown block kind '{blk.kind}'")
-
-        # master lower-triangle pattern over the full latent field
-        all_rows = np.concatenate(rows + [s[0] for s in stamp_specs])
-        all_cols = np.concatenate(cols + [s[1] for s in stamp_specs])
-        tri_row = np.maximum(all_rows, all_cols)
-        tri_col = np.minimum(all_rows, all_cols)
-        codes = tri_col * self.latent_dim + tri_row
-        uniq = np.unique(codes)
-        self._master_rows = uniq % self.latent_dim
-        self._master_cols = uniq // self.latent_dim
-        indptr = np.zeros(self.latent_dim + 1, dtype=np.int64)
-        np.add.at(indptr, self._master_cols + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        self._master_indptr = indptr
-
-        def master_pos(r, c):
-            rr = np.maximum(r, c)
-            cc = np.minimum(r, c)
-            return np.searchsorted(uniq, cc * self.latent_dim + rr)
-
-        const_data = np.zeros(uniq.size)
-        for r, c, v in zip(rows, cols, vals):
-            np.add.at(const_data, master_pos(np.asarray(r), np.asarray(c)), v)
-        self._const_data = const_data
-        self._stamps = []
-        for r, c, base, mult, infer_only in stamp_specs:
-            self._stamps.append(_Stamp(master_pos(np.asarray(r), np.asarray(c)),
-                                       np.asarray(base, dtype=float), mult, infer_only))
         if constraint_rows:
-            self.constraints = np.vstack(constraint_rows)
+            self.z_constraints = np.vstack(constraint_rows)
         else:
-            self.constraints = np.zeros((0, self.latent_dim))
-        self._assemble_block_space(drows, dcols, dvals, stamp_specs)
-
-    def _assemble_block_space(self, drows, dcols, dvals, stamp_specs):
-        """Structures for exact elimination of the predictor coordinates.
-
-        The tying noise lets eta be integrated out in closed form; inference
-        then factorizes only the block-coordinate precision, which avoids the
-        ill-conditioning of the tied joint system.
-        """
-        n = self.n_rows
-        zdim = self.z_dim
-        zcols = dcols - n
+            self.z_constraints = np.zeros((0, zdim))
 
         self._a_dense = np.zeros((n, zdim))
         np.add.at(self._a_dense, (drows, zcols), dvals)
@@ -864,33 +807,31 @@ class CompiledModel:
         pr_cj = np.array(pr_cj, dtype=np.int64)
         pr_vv = np.array(pr_vv)
 
-        # block-space master pattern: prior stamps plus the A'A pattern
-        zr = [pr_ci] + [np.asarray(s[0], dtype=np.int64) - n for s in stamp_specs]
-        zc = [pr_cj] + [np.asarray(s[1], dtype=np.int64) - n for s in stamp_specs]
+        # lower-triangle pattern: prior stamps plus the A'A pattern
+        zr = [pr_ci] + [np.asarray(s[0], dtype=np.int64) for s in stamp_specs]
+        zc = [pr_cj] + [np.asarray(s[1], dtype=np.int64) for s in stamp_specs]
         zr.append(np.arange(zdim))  # keep the full diagonal present
         zc.append(np.arange(zdim))
-        all_r = np.concatenate(zr) if zr else np.zeros(0, dtype=np.int64)
-        all_c = np.concatenate(zc) if zc else np.zeros(0, dtype=np.int64)
+        all_r = np.concatenate(zr)
+        all_c = np.concatenate(zc)
         codes = np.minimum(all_r, all_c) * max(zdim, 1) + np.maximum(all_r, all_c)
         uniq = np.unique(codes)
         self._z_rows = uniq % max(zdim, 1)
-        self._z_cols = uniq // max(zdim, 1)
-        indptr = np.zeros(zdim + 1, dtype=np.int64)
-        np.add.at(indptr, self._z_cols + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        self._z_indptr = indptr
+        self._z_indptr = np.zeros(zdim + 1, dtype=np.int64)
+        np.add.at(self._z_indptr, uniq // max(zdim, 1) + 1, 1)
+        np.cumsum(self._z_indptr, out=self._z_indptr)
 
         def zpos(r, c):
             return np.searchsorted(uniq, np.minimum(r, c) * max(zdim, 1) + np.maximum(r, c))
 
         zconst = np.zeros(uniq.size)
-        for blk, off in zip(self.spec.blocks, self.block_offsets):
+        for blk, off in zip(self.spec.blocks, z_offsets):
             if blk.kind in ("intercept", "fixed"):
-                zconst[zpos(np.array([off - n]), np.array([off - n]))] += blk.precision
+                zconst[zpos(np.array([off]), np.array([off]))] += blk.precision
         self._z_const_data = zconst
         self._z_stamps = []
         for r, c, base, mult, infer_only in stamp_specs:
-            self._z_stamps.append(_Stamp(zpos(np.asarray(r) - n, np.asarray(c) - n),
+            self._z_stamps.append(_Stamp(zpos(np.asarray(r), np.asarray(c)),
                                          np.asarray(base, dtype=float), mult, infer_only))
         self._pair_row = pr_row
         self._pair_ci = pr_ci
@@ -939,7 +880,7 @@ class CompiledModel:
 
     @property
     def n_constraints(self):
-        return self.constraints.shape[0]
+        return self.z_constraints.shape[0]
 
     @property
     def z_dim(self):
@@ -949,10 +890,6 @@ class CompiledModel:
     def design(self):
         """Dense (n_rows, z_dim) map from block coordinates to the predictor."""
         return self._a_dense
-
-    @property
-    def z_constraints(self):
-        return self.constraints[:, self.n_rows:]
 
     def theta_names(self):
         out = []
@@ -975,42 +912,14 @@ class CompiledModel:
             raise ModelError(f"theta has dim {theta.size}, expected {self.dim_theta}")
         return theta
 
-    def _q_data(self, theta, inference):
-        data = self._const_data.copy()
-        for st in self._stamps:
-            if st.infer_only and not inference:
-                continue
-            data[st.master_idx] += st.mult(theta) * st.base
-        return data
-
-    def prior_precision(self, theta):
-        """Joint latent prior precision Q(theta), exactly as specified.
-
-        Improper blocks keep their zero row sums here; the inference path adds
-        a tiny relative jitter to keep factorizations well posed.
-        """
-        theta = self._check_theta(theta)
-        return SparseSymmetric(self.latent_dim, self._master_indptr,
-                               self._master_rows, self._q_data(theta, inference=False))
-
-    def inference_precision(self, theta):
-        theta = self._check_theta(theta)
-        return SparseSymmetric(self.latent_dim, self._master_indptr,
-                               self._master_rows, self._q_data(theta, inference=True))
-
     def prior_log_det(self, theta):
-        """log det of the (jittered) prior precision, in closed form."""
+        """log det of the (jittered) tied joint prior precision, in closed form:
+        n_rows * log(kappa) plus the log determinant of ``z_prior``."""
         theta = self._check_theta(theta)
         out = self._prior_logdet_const
         for term in self._prior_logdet_terms:
             out += term(theta)
         return out
-
-    def ordering(self):
-        if self._ordering is None:
-            self._ordering = min_degree_ordering(
-                self.latent_dim, self._master_indptr, self._master_rows)
-        return self._ordering
 
     # -- block-space (eta eliminated) assembly -------------------------------
 
@@ -1025,12 +934,17 @@ class CompiledModel:
         for st in self._z_stamps:
             if st.infer_only and not inference:
                 continue
-            data[st.master_idx] += st.mult(theta) * st.base
+            data[st.pos] += st.mult(theta) * st.base
         return data
 
     def z_prior(self, theta, inference=True):
         """Block-coordinate prior precision (the tied joint has determinant
-        kappa^n_rows times this one's)."""
+        kappa^n_rows times this one's).
+
+        With inference=False it is exactly the specified prior: improper
+        blocks keep their zero row sums.  The inference view adds a tiny
+        relative jitter to keep factorizations well posed.
+        """
         theta = self._check_theta(theta)
         return self._z_template.with_data(self._z_data(theta, inference))
 
@@ -1139,10 +1053,6 @@ def build_model(spec):
     return CompiledModel(spec)
 
 
-def mask_rows(model, rows):
-    return model.mask_rows(rows)
-
-
 # ---------------------------------------------------------------------------
 # model spec files
 
@@ -1186,12 +1096,10 @@ def read_model_json(path, data):
         return None
 
     offset = doc.get("offset")
-    if doc["likelihood"] == "gaussian":
-        lik = LikelihoodFamily("gaussian", prec_prior=prior_for("data_precision"))
-        if offset is not None:
-            raise ModelError("gaussian likelihood takes no offset column")
-    else:
-        lik = LikelihoodFamily(doc["likelihood"], offset=offset)
+    if doc["likelihood"] == "gaussian" and offset is not None:
+        raise ModelError("gaussian likelihood takes no offset column")
+    lik = LikelihoodFamily(doc["likelihood"], prec_prior=prior_for("data_precision"),
+                           offset=offset)
 
     blocks = []
     for i, eff in enumerate(doc["effects"]):
@@ -1243,7 +1151,7 @@ def read_model_json(path, data):
         theta_prior = _prior_from_json(priors["theta"], "theta")
         if not isinstance(theta_prior, GaussianThetaPrior):
             raise ModelError("the 'theta' prior must be of type gaussian")
-    unknown = set(priors) - used - {"data_precision"}
+    unknown = set(priors) - used
     if unknown:
         raise ModelError(f"priors listed for unknown effects: {sorted(unknown)}")
 

@@ -14,11 +14,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from .model import ModelError
 from .inference import (InferenceConfig, InferenceError, explore_hypergrid,
                         lincomb_posterior, posterior_as_prior)
-from .special import gammainc_upper
 
 DEFAULT_RANK_TOL = 1e-8
 
@@ -176,7 +176,7 @@ def chisq_tail(x, r):
         raise ValueError(f"degrees of freedom must be a positive integer, got {r}")
     if x < 0:
         raise ValueError(f"chi-squared statistic must be nonnegative, got {x}")
-    return gammainc_upper(0.5 * float(r), 0.5 * float(x))
+    return float(scipy.special.gammaincc(0.5 * float(r), 0.5 * float(x)))
 
 
 def bh_fdr(p_values, q):

@@ -1,19 +1,15 @@
-"""Sparse symmetric matrices, Cholesky factorization, solves and partial inversion.
+"""Sparse symmetric matrices, Cholesky factorization, solves and marginal variances.
 
 Matrices are stored as the lower triangle in compressed-column form.  The
-factorization keeps a fill-reducing permutation; numerically it uses a dense
-LAPACK backend below ``DENSE_CUTOFF`` and a left-looking sparse Cholesky above
-it.  Correctness is permutation-invariant, so callers may pass any ordering.
+factorization applies a fill-reducing (minimum-degree) permutation and then
+runs a dense LAPACK Cholesky on the permuted matrix.  Correctness is
+permutation-invariant, so callers may pass any ordering.
 """
 
 import math
 
 import numpy as np
 import scipy.linalg
-
-DENSE_CUTOFF = 400
-MARGVAR_DENSE_CUTOFF = 500
-
 
 class NotPositiveDefinite(ValueError):
     """Raised when a pivot is not positive; carries the offending index."""
@@ -107,13 +103,6 @@ class SparseSymmetric:
         a[pj, pi] = self.data
         return a
 
-    def diagonal(self):
-        d = np.zeros(self.n)
-        cols = self._cols()
-        on = ~self._struct_cache["offdiag"]
-        d[cols[on]] = self.data[on]
-        return d
-
     def with_data(self, data):
         """Same pattern, new values (no copy of the structure arrays)."""
         out = SparseSymmetric.__new__(SparseSymmetric)
@@ -179,50 +168,33 @@ def min_degree_ordering(n, indptr, indices):
 class CholeskyFactor:
     """Cholesky factor of a permuted SPD matrix: P Q P' = L L'."""
 
-    def __init__(self, n, perm, dense_l=None, sparse_l=None):
+    def __init__(self, n, perm, l):
         self.n = n
         self.perm = perm
         self._iperm = np.argsort(perm)
-        self._dense_l = dense_l
-        self._sparse_l = sparse_l  # (indptr, indices, data), diagonal first per column
-        if dense_l is not None:
-            diag = np.diag(dense_l)
-        else:
-            lp, li, lx = sparse_l
-            diag = lx[lp[:-1]]
-        self.log_det = float(2.0 * np.sum(np.log(diag)))
-        self._factor_diag = diag
+        self._l = l
+        self.log_det = float(2.0 * np.sum(np.log(np.diag(l))))
 
     @property
     def is_dense(self):
-        return self._dense_l is not None
+        """Always True: the factor is a dense array.
+
+        Kept for the benchmark trace, whose ``sparse.dense_frac`` reads it.
+        """
+        return True
 
     def l_matrix(self):
         """Lower factor as a dense array (testing/inspection helper)."""
-        if self.is_dense:
-            return self._dense_l.copy()
-        lp, li, lx = self._sparse_l
-        out = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            out[li[lp[j]:lp[j + 1]], j] = lx[lp[j]:lp[j + 1]]
-        return out
+        return self._l.copy()
 
     def solve(self, b):
-        """Solve Q x = b."""
+        """Solve Q x = b for a vector or an (n, k) right-hand side."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError(f"right-hand side has length {b.shape[0]}, expected {self.n}")
-        bp = b[self.perm]
-        if self.is_dense:
-            y = scipy.linalg.solve_triangular(self._dense_l, bp, lower=True)
-            xp = scipy.linalg.solve_triangular(self._dense_l, y, lower=True, trans="T")
-        else:
-            xp = self._sparse_backsolve(self._sparse_forward(bp))
+        y = scipy.linalg.solve_triangular(self._l, b[self.perm], lower=True)
+        xp = scipy.linalg.solve_triangular(self._l, y, lower=True, trans="T")
         return xp[self._iperm]
-
-    def solve_many(self, b):
-        """Solve Q X = B for a (n, k) right-hand side."""
-        return self.solve(b)
 
     def solve_lt(self, b):
         """Solve L' w = b in permuted space, returning P' w.
@@ -230,97 +202,22 @@ class CholeskyFactor:
         With b standard normal this yields a draw with covariance Q^-1.
         """
         b = np.asarray(b, dtype=float)
-        if self.is_dense:
-            w = scipy.linalg.solve_triangular(self._dense_l, b, lower=True, trans="T")
-        else:
-            w = self._sparse_backsolve(b)
+        w = scipy.linalg.solve_triangular(self._l, b, lower=True, trans="T")
         return w[self._iperm]
-
-    def _sparse_forward(self, b):
-        lp, li, lx = self._sparse_l
-        y = np.array(b, dtype=float, copy=True)
-        for j in range(self.n):
-            s, e = lp[j], lp[j + 1]
-            yj = y[j] / lx[s]
-            y[j] = yj
-            if e > s + 1:
-                if y.ndim == 1:
-                    y[li[s + 1:e]] -= yj * lx[s + 1:e]
-                else:
-                    y[li[s + 1:e]] -= np.outer(lx[s + 1:e], yj)
-        return y
-
-    def _sparse_backsolve(self, y):
-        lp, li, lx = self._sparse_l
-        x = np.array(y, dtype=float, copy=True)
-        for j in range(self.n - 1, -1, -1):
-            s, e = lp[j], lp[j + 1]
-            if e > s + 1:
-                x[j] -= lx[s + 1:e] @ x[li[s + 1:e]]
-            x[j] /= lx[s]
-        return x
 
     def marginal_variances(self):
         """Diagonal of Q^-1 in the original ordering."""
-        if self.n <= MARGVAR_DENSE_CUTOFF or self.is_dense:
-            if self.is_dense:
-                sig = scipy.linalg.cho_solve((self._dense_l, True), np.eye(self.n))
-                diag_p = np.diag(sig)
-            else:
-                diag_p = np.diag(self._takahashi_dense_fallback())
-        else:
-            diag_p = self._takahashi_diag()
+        sig = scipy.linalg.cho_solve((self._l, True), np.eye(self.n))
         out = np.empty(self.n)
-        out[self.perm] = diag_p
+        out[self.perm] = np.diag(sig)
         return out
 
-    def _takahashi_dense_fallback(self):
-        eye = np.eye(self.n)
-        return self._sparse_backsolve(self._sparse_forward(eye))
 
-    def _takahashi_diag(self):
-        """Partial inversion on the factor pattern (Takahashi recursion)."""
-        lp, li, lx = self._sparse_l
-        n = self.n
-        dinv = 1.0 / (lx[lp[:-1]] ** 2)
-        # unit lower factor columns, diagonal stripped
-        cols_rows = [li[lp[j] + 1:lp[j + 1]] for j in range(n)]
-        cols_vals = [lx[lp[j] + 1:lp[j + 1]] / lx[lp[j]] for j in range(n)]
-        sig_diag = np.zeros(n)
-        sig_cols = [np.zeros(len(r)) for r in cols_rows]
-
-        def lookup(r, c):
-            if r == c:
-                return sig_diag[r]
-            rr, cc = (r, c) if r > c else (c, r)
-            pos = np.searchsorted(cols_rows[cc], rr)
-            if pos < len(cols_rows[cc]) and cols_rows[cc][pos] == rr:
-                return sig_cols[cc][pos]
-            return 0.0
-
-        for j in range(n - 1, -1, -1):
-            rows_j = cols_rows[j]
-            vals_j = cols_vals[j]
-            m = len(rows_j)
-            for a in range(m - 1, -1, -1):
-                i = rows_j[a]
-                acc = 0.0
-                for b in range(m):
-                    acc += vals_j[b] * lookup(rows_j[b], i)
-                sig_cols[j][a] = -acc
-            acc = 0.0
-            for b in range(m):
-                acc += vals_j[b] * sig_cols[j][b]
-            sig_diag[j] = dinv[j] - acc
-        return sig_diag
-
-
-def factorize(q, ordering=None, method="auto"):
+def factorize(q, ordering=None):
     """Cholesky-factorize a SparseSymmetric SPD matrix.
 
     ordering: optional precomputed permutation; a greedy minimum-degree
-    ordering is used when omitted.  method selects the numeric backend
-    ("auto", "dense" or "sparse").
+    ordering is used when omitted.
     """
     n = q.n
     if ordering is None:
@@ -329,23 +226,13 @@ def factorize(q, ordering=None, method="auto"):
         ordering = np.asarray(ordering, dtype=np.int64)
         if sorted(ordering.tolist()) != list(range(n)):
             raise ValueError("ordering must be a permutation of 0..n-1")
-    if method == "auto":
-        method = "dense" if n <= DENSE_CUTOFF else "sparse"
-    if method == "dense":
-        return _factorize_dense(q, ordering)
-    if method == "sparse":
-        return _factorize_sparse(q, ordering)
-    raise ValueError(f"unknown factorization method: {method}")
-
-
-def _factorize_dense(q, perm):
-    a = q.permuted_dense(perm, np.argsort(perm))
+    a = q.permuted_dense(ordering, np.argsort(ordering))
     try:
         l = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        _locate_bad_pivot(a, perm)
+        _locate_bad_pivot(a, ordering)
         raise
-    return CholeskyFactor(q.n, perm, dense_l=l)
+    return CholeskyFactor(n, ordering, l)
 
 
 def _locate_bad_pivot(a, perm):
@@ -360,73 +247,12 @@ def _locate_bad_pivot(a, perm):
         a[j + 1:, j + 1:] -= np.outer(a[j + 1:, j], a[j + 1:, j])
 
 
-def _factorize_sparse(q, perm):
-    n = q.n
-    iperm = np.argsort(perm)
-    # permuted lower-triangle columns, rows sorted
-    pcols = [[] for _ in range(n)]
-    for j in range(n):
-        for t in range(q.indptr[j], q.indptr[j + 1]):
-            i = q.indices[t]
-            pi, pj = iperm[i], iperm[j]
-            lo, hi = (pj, pi) if pi > pj else (pi, pj)
-            pcols[lo].append((hi, q.data[t]))
-
-    col_rows = [None] * n
-    col_vals = [None] * n
-    row_updates = [[] for _ in range(n)]  # (k, l_jk) pairs finalized earlier
-    x = np.zeros(n)
-    for j in range(n):
-        touched = [j]
-        for i, v in pcols[j]:
-            if x[i] == 0.0 and i != j:
-                touched.append(i)
-            x[i] += v
-        for k, ljk in row_updates[j]:
-            rows_k = col_rows[k]
-            vals_k = col_vals[k]
-            s = np.searchsorted(rows_k, j)
-            seg = rows_k[s:]
-            newly = seg[x[seg] == 0.0]
-            x[seg] -= ljk * vals_k[s:]
-            touched.extend(int(t) for t in newly if t != j)
-        piv = x[j]
-        if piv <= 0.0 or not math.isfinite(piv):
-            raise NotPositiveDefinite(perm[j], piv)
-        root = math.sqrt(piv)
-        rows_j = np.array(sorted(set(int(t) for t in touched if t > j)), dtype=np.int64)
-        vals_j = x[rows_j] / root
-        for pos, i in enumerate(rows_j):
-            row_updates[i].append((j, vals_j[pos]))
-        x[rows_j] = 0.0
-        x[j] = 0.0
-        col_rows[j] = np.concatenate(([j], rows_j))
-        col_vals[j] = np.concatenate(([root], vals_j))
-
-    lp = np.zeros(n + 1, dtype=np.int64)
-    for j in range(n):
-        lp[j + 1] = lp[j] + len(col_rows[j])
-    li = np.concatenate(col_rows)
-    lx = np.concatenate(col_vals)
-    return CholeskyFactor(n, perm, sparse_l=(lp, li, lx))
-
-
-def solve(factor, b):
-    """Solve Q x = b against a CholeskyFactor."""
-    return factor.solve(b)
-
-
-def marginal_variances(factor):
-    """Diagonal of Q^-1."""
-    return factor.marginal_variances()
-
-
 def solve_for_columns(factor, a):
     """For a (k, n) combination matrix A return (A Q^-1 A', A Q^-1)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[1] != factor.n:
         raise ValueError(f"combination matrix must be (k, {factor.n})")
-    x = factor.solve_many(a.T)  # Q^-1 A'
+    x = factor.solve(a.T)  # Q^-1 A'
     aqa = a @ x
     aqa = 0.5 * (aqa + aqa.T)
     return aqa, x.T

@@ -12,7 +12,7 @@ from lgmsplit.model import (AdjacencyGraph, Besag, DataTable, Fixed,
                             Iid, Iid2d, Intercept, LikelihoodFamily,
                             LogGammaPrior, ModelError, ModelSpec,
                             TIE_PRECISION, build_model,
-                            canonical_label, mask_rows, read_adjacency,
+                            canonical_label, read_adjacency,
                             read_data_csv, read_model_json, wishart2d_internal)
 
 
@@ -112,11 +112,10 @@ class TestBuildModel:
         spec = ModelSpec(LikelihoodFamily("gaussian", prec_prior=FixedPrecision(1.0)),
                          "y", [Besag("r", g, prior=FixedPrecision(4.0))], data)
         m = build_model(spec)
-        q = m.prior_precision(np.zeros(0)).to_dense()
-        block = q[2:, 2:] - TIE_PRECISION * np.eye(2)  # remove the tie A'A part
+        block = m.z_prior(np.zeros(0), inference=False).to_dense()
         assert np.allclose(block, 4.0 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert m.n_constraints == 1
-        assert np.allclose(m.constraints[0, 2:], 1.0)
+        assert np.allclose(m.z_constraints[0], 1.0)
 
     def test_besag_row_sums_zero_before_constraints(self):
         g = AdjacencyGraph([str(i) for i in range(4)],
@@ -125,12 +124,14 @@ class TestBuildModel:
         spec = ModelSpec(LikelihoodFamily("gaussian", prec_prior=FixedPrecision(1.0)),
                          "y", [Besag("r", g, prior=FixedPrecision(2.0))], data)
         m = build_model(spec)
-        q = m.prior_precision(np.zeros(0)).to_dense()
-        block = q[4:, 4:] - TIE_PRECISION * np.eye(4)
+        block = m.z_prior(np.zeros(0), inference=False).to_dense()
         assert np.allclose(block.sum(axis=1), 0.0, atol=1e-9)
 
     def test_prior_precision_psd_and_pd_after_constraints(self):
-        # dense eigenvalue check on a small mixed model
+        # dense eigenvalue check on a small mixed model.  Eliminating the
+        # predictor through the tie leaves z_prior as the Schur complement of
+        # the tied joint, so the joint is PSD (PD on the constraint null
+        # space) exactly when z_prior is.
         rng = np.random.default_rng(1)
         g = AdjacencyGraph([str(i) for i in range(4)],
                            [[1, 2], [0, 3], [0, 3], [1, 2]])
@@ -142,13 +143,13 @@ class TestBuildModel:
                           Besag("r", g, prior=LogGammaPrior(1.0, 0.01))], data)
         m = build_model(spec)
         for theta in ([0.0, 0.0], [1.0, -1.0], [-2.0, 0.5]):
-            q = m.prior_precision(np.array(theta)).to_dense()
+            q = m.z_prior(np.array(theta), inference=False).to_dense()
             lam = np.linalg.eigvalsh(q)
             scale = np.abs(lam).max()
             assert lam.min() > -1e-9 * scale  # positive semidefinite
             # restricted to the constraint null space it is positive definite,
-            # clear of the eigensolver noise floor of the tie-precision scale
-            a = m.constraints
+            # clear of the eigensolver noise floor at its scale
+            a = m.z_constraints
             _, _, vt = np.linalg.svd(a)
             null = vt[a.shape[0]:].T
             lam_c = np.linalg.eigvalsh(null.T @ q @ null)
@@ -156,11 +157,13 @@ class TestBuildModel:
             assert lam_c.min() > 0
 
     def test_prior_log_det_matches_dense(self):
+        # the tied joint has log det n_rows * log(kappa) + log det z_prior
         m = gaussian_model(blocks=[Intercept(precision=0.2),
                                    Iid("g", prior=LogGammaPrior(1.0, 1.0))])
         for th in ([0.0], [1.2], [-0.7]):
-            q = m.inference_precision(np.array(th)).to_dense()
+            q = m.z_prior(np.array(th)).to_dense()
             sign, ld = np.linalg.slogdet(q)
+            ld += m.n_rows * math.log(TIE_PRECISION)
             assert abs(m.prior_log_det(np.array(th)) - ld) < 1e-5
 
     def test_unknown_columns_raise(self):
@@ -218,7 +221,7 @@ class TestBuildModel:
 class TestMaskRows:
     def test_empty_mask_is_identity(self):
         m = gaussian_model()
-        m2 = mask_rows(m, [])
+        m2 = m.mask_rows([])
         x = np.random.default_rng(0).normal(size=m.n_rows)
         th = np.zeros(0)
         assert m.log_likelihood(x, th) == m2.log_likelihood(x, th)
@@ -226,7 +229,7 @@ class TestMaskRows:
     def test_mask_all_rows_gives_prior(self):
         from lgmsplit.inference import gaussian_approximation
         m = gaussian_model()
-        m2 = mask_rows(m, range(m.n_rows))
+        m2 = m.mask_rows(range(m.n_rows))
         approx = gaussian_approximation(m2, np.zeros(0))
         assert np.allclose(approx.mode, 0.0)  # prior mean
         # posterior variance equals prior variance for the intercept
@@ -238,8 +241,8 @@ class TestMaskRows:
         x = rng.normal(size=m.n_rows)
         th = np.zeros(0)
         a, b = [0, 2], [2, 5, 7]
-        m_ab = mask_rows(mask_rows(m, a), b)
-        m_union = mask_rows(m, sorted(set(a) | set(b)))
+        m_ab = m.mask_rows(a).mask_rows(b)
+        m_union = m.mask_rows(sorted(set(a) | set(b)))
         assert m_ab.log_likelihood(x, th) == m_union.log_likelihood(x, th)
 
     @settings(max_examples=25, deadline=None)
@@ -249,8 +252,8 @@ class TestMaskRows:
         m = gaussian_model(n=8)
         x = np.linspace(-1, 1, m.n_rows)
         th = np.zeros(0)
-        lhs = mask_rows(mask_rows(m, a), b).log_likelihood(x, th)
-        rhs = mask_rows(m, sorted(set(a) | set(b))).log_likelihood(x, th)
+        lhs = m.mask_rows(a).mask_rows(b).log_likelihood(x, th)
+        rhs = m.mask_rows(sorted(set(a) | set(b))).log_likelihood(x, th)
         assert lhs == rhs
 
     def test_leave_one_out_conjugate_mean(self):
@@ -262,7 +265,7 @@ class TestMaskRows:
         spec = ModelSpec(LikelihoodFamily("gaussian", prec_prior=FixedPrecision(1.0)),
                          "y", [Intercept(precision=1e-12)], data)
         m = build_model(spec)
-        masked = mask_rows(m, [4])
+        masked = m.mask_rows([4])
         approx = gaussian_approximation(masked, np.zeros(0))
         loo_mean = (y.sum() - y[4]) / 9.0
         assert abs(approx.mode[-1] - loo_mean) < 1e-6
@@ -270,7 +273,7 @@ class TestMaskRows:
     def test_out_of_range_rejected(self):
         m = gaussian_model()
         with pytest.raises(ModelError):
-            mask_rows(m, [99])
+            m.mask_rows([99])
 
 
 class TestWishart2dInternal:
@@ -365,6 +368,18 @@ class TestModelJson:
         p.write_text(json.dumps({"response": "y", "effects": []}))
         with pytest.raises(ModelError):
             read_model_json(str(p), DataTable({"y": [1.0]}))
+
+    def test_poisson_rejects_data_precision_prior(self, tmp_path):
+        # a poisson likelihood has no precision, so the prior cannot apply
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({
+            "likelihood": "poisson", "response": "y",
+            "effects": [{"type": "intercept"}],
+            "priors": {"data_precision": {"type": "loggamma", "a": 1, "b": 1}},
+        }))
+        data = DataTable({"y": [1.0, 2.0]})
+        with pytest.raises(ModelError):
+            read_model_json(str(p), data)
 
     def test_gaussian_theta_prior_via_reserved_key(self, tmp_path):
         p = tmp_path / "m.json"
