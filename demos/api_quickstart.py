@@ -8,9 +8,9 @@ coordinates.
 
 import numpy as np
 
-from lgmsplit import (DataTable, Iid, InferenceConfig, Intercept,
-                      LikelihoodFamily, LogGammaPrior, ModelSpec, build_model,
-                      conflict_pvalues, explore_hypergrid, lincomb_posterior)
+from lgmsplit import (DataTable, Iid, Intercept, LikelihoodFamily,
+                      LogGammaPrior, ModelSpec, build_model, conflict_pvalues,
+                      explore_hypergrid, lincomb_posterior)
 
 rng = np.random.default_rng(1)
 groups = np.repeat([f"g{j}" for j in range(6)], 8)
@@ -34,20 +34,19 @@ q = model.z_prior(np.zeros(2))
 print(f"block-coordinate prior precision: {q.n}x{q.n} with {q.data.size} "
       "stored lower-triangle entries")
 
-config = InferenceConfig()
-grid = explore_hypergrid(model, config)
+grid = explore_hypergrid(model)
 mean, cov = grid.moments()
 print(f"hypergrid: {grid.n_points} points, posterior mean of "
       f"(log data precision, log batch precision) = {np.round(mean, 3)}")
 
 sel = np.zeros((3, model.latent_dim))
 sel[[0, 1, 2], [0, 1, 2]] = 1.0  # first three predictor coordinates
-joint = lincomb_posterior(model, grid, sel, config)
+joint = lincomb_posterior(model, grid, sel)
 print("joint posterior of the first three predictors:")
 print("  mean", np.round(joint.mean, 3))
 print("  cov\n", np.round(joint.cov, 4))
 
-result = conflict_pvalues(model, "batch", q=0.10, config=config)
+result = conflict_pvalues(model, "batch", q=0.10)
 print("\nconflict p-values per batch:")
 for outcome in result.outcomes:
     print(f"  {outcome.label}: p = {outcome.result.p_value:.4f}")

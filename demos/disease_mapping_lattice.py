@@ -7,10 +7,9 @@ screened for conflicts by cell (is any area out of line with its neighbours
 plus the trend?) or by period (does any year break the linear trend?).
 """
 
-from lgmsplit import InferenceConfig, build_model, conflict_pvalues
+from lgmsplit import build_model, conflict_pvalues
 from lgmsplit.datasets import LatticeParams, generate_lattice
 
-config = InferenceConfig()
 data, spec, graph = generate_lattice(m=5, t_periods=4, seed=3,
                                      params=LatticeParams(mu=-0.3, beta=0.08,
                                                           sigma_u=0.3,
@@ -20,13 +19,13 @@ print(f"cells: {graph.n_nodes}, periods: 4, rows: {data.n_rows}, "
       f"hyperparameters: {model.dim_theta}")
 
 print("\n== split by cell ==")
-by_cell = conflict_pvalues(model, "county", config=config, n_threads=2)
+by_cell = conflict_pvalues(model, "county")
 p = by_cell.p_values()
 print(f"p-values in [{p.min():.3f}, {p.max():.3f}], "
       f"flagged at 10% FDR: {by_cell.flagged or 'none'}")
 
 print("\n== split by period ==")
-by_year = conflict_pvalues(model, "year", config=config, n_threads=2)
+by_year = conflict_pvalues(model, "year")
 for outcome in by_year.outcomes:
     r = outcome.result
     print(f"  period {outcome.label}: delta {r.delta_hat:7.3f} "

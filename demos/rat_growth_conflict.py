@@ -14,18 +14,16 @@ the two predictor posteriors becomes a chi-squared test.
 
 import numpy as np
 
-from lgmsplit import (InferenceConfig, build_model, conflict_pvalues, fit,
-                      load_rats)
+from lgmsplit import build_model, conflict_pvalues, fit, load_rats
 
 data, spec = load_rats()
 model = build_model(spec)
-config = InferenceConfig()
 
 print("== model ==")
 print(f"rows: {data.n_rows}, latent dimension: {model.latent_dim}, "
       f"hyperparameters: {model.dim_theta}")
 
-result = fit(model, config)
+result = fit(model)
 print("\n== hyperparameter posterior (internal scale) ==")
 for name, mu, sd in zip(result.theta_names, result.theta_mean, result.theta_sd):
     print(f"  {name:16s} mean {mu:+.3f}  sd {sd:.3f}")
@@ -33,7 +31,7 @@ tau = np.exp(result.theta_mean[0])
 print(f"  implied residual sd: {1.0 / np.sqrt(tau):.2f} grams")
 
 print("\n== node-split by animal (this takes a minute or two) ==")
-split = conflict_pvalues(model, "rat", q=0.10, config=config, n_threads=2)
+split = conflict_pvalues(model, "rat", q=0.10)
 print(f"initial fit {split.fit_seconds:.1f}s, split {split.split_seconds:.1f}s")
 print(f"{'rat':>4} {'delta':>8} {'rank':>4} {'p':>8}  flag")
 for outcome in split.outcomes:

@@ -5,10 +5,10 @@ from .model import (AdjacencyGraph, Besag, DataTable, Fixed, FixedOmega,
                     LikelihoodFamily, LogGammaPrior, ModelError, ModelSpec,
                     Wishart2dPrior, build_model, read_adjacency,
                     read_data_csv, read_model_json, wishart2d_internal)
-from .inference import (FitResult, GaussianApprox, HyperGrid, InferenceConfig,
-                        InferenceError, LatentSummary, LincombPosterior,
-                        explore_hypergrid, fit, gaussian_approximation,
-                        latent_summary, lincomb_posterior, log_posterior_theta,
+from .inference import (FitResult, GaussianApprox, HyperGrid, InferenceError,
+                        LatentSummary, LincombPosterior, explore_hypergrid,
+                        fit, gaussian_approximation, latent_summary,
+                        lincomb_posterior, log_posterior_theta,
                         posterior_as_prior)
 from .nodesplit import (DiscrepancyResult, GroupSplit, NodeSplitResult,
                         RankZeroError, bh_fdr, between_group_run, chisq_tail,

@@ -1,17 +1,19 @@
 """Command-line front end: fit a model, run the group split, generate data.
 
 Exit codes: 0 success, 1 per-group partial failure in a split, 2 input or
-model error.  All tables go to --out or stdout; progress and timing notes go
-to stderr so the table output stays canonical.
+model error.  All tables go to --out or stdout; timing notes, and with -v
+the progress of the ``lgmsplit`` logger, go to stderr so the table output
+stays canonical.
 """
 
 import argparse
 import json
+import logging
 import sys
 import time
 
 from .datasets import LatticeParams, write_lattice_files
-from .inference import InferenceConfig, InferenceError, fit
+from .inference import InferenceError, fit
 from .model import ModelError, build_model, read_data_csv, read_model_json
 from .nodesplit import conflict_pvalues, result_to_csv, result_to_json_obj
 
@@ -28,7 +30,8 @@ def _build_parser():
     p_fit.add_argument("--model", required=True, help="JSON model document")
     p_fit.add_argument("--out", default=None, help="output path (default stdout)")
     p_fit.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    p_fit.add_argument("-v", "--verbose", action="store_true")
+    p_fit.add_argument("-v", "--verbose", action="store_true",
+                       help="log progress to stderr")
 
     p_cut = sub.add_parser("cut", help="group-wise conflict p-values")
     p_cut.add_argument("--data", required=True)
@@ -39,11 +42,10 @@ def _build_parser():
                        help="false discovery rate for flagging (default 0.10)")
     p_cut.add_argument("--full", action="store_true",
                        help="include per-group difference mean/covariance (json)")
-    p_cut.add_argument("--threads", type=int, default=1,
-                       help="max concurrent group runs")
     p_cut.add_argument("--out", default=None)
     p_cut.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    p_cut.add_argument("-v", "--verbose", action="store_true")
+    p_cut.add_argument("-v", "--verbose", action="store_true",
+                       help="log progress to stderr")
 
     p_gen = sub.add_parser("gen-lattice", help="generate a synthetic lattice dataset")
     p_gen.add_argument("--m", type=int, default=4, help="lattice side length")
@@ -75,9 +77,8 @@ def _load(args):
 def cmd_fit(args):
     """Fit and report hyperparameter and latent posterior summaries."""
     model = _load(args)
-    infcfg = InferenceConfig(verbose=args.verbose)
     t0 = time.monotonic()
-    result = fit(model, infcfg)
+    result = fit(model)
     seconds = time.monotonic() - t0
     if args.fmt == "json":
         doc = {
@@ -115,9 +116,7 @@ def cmd_cut(args):
         raise ModelError("no grouping variable: pass --group or set it in the model")
     if not 0 < args.q < 1:
         raise ModelError(f"--q must be in (0, 1), got {args.q}")
-    infcfg = InferenceConfig(verbose=args.verbose)
-    result = conflict_pvalues(model, group, q=args.q, config=infcfg,
-                              n_threads=args.threads)
+    result = conflict_pvalues(model, group, q=args.q)
     if args.fmt == "json":
         doc = result_to_json_obj(result, full=args.full)
         _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
@@ -146,6 +145,13 @@ def cmd_gen_lattice(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    logger = logging.getLogger("lgmsplit")
+    handler = None
+    if getattr(args, "verbose", False):
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("[lgmsplit] %(message)s"))
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
     try:
         if args.command == "fit":
             return cmd_fit(args)
@@ -162,6 +168,10 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON in model document: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if handler is not None:
+            logger.removeHandler(handler)
+            logger.setLevel(logging.NOTSET)
     return 2
 
 

@@ -12,8 +12,8 @@ factorized system stays well conditioned regardless of the large tying
 precision; all reported quantities still refer to the full latent field.
 """
 
+import logging
 import math
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -26,30 +26,24 @@ from .sparse import NotPositiveDefinite, factorize
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+GRID_STEP = 1.0             # step in standardized hyperparameter coordinates
+LOG_DROP = 4.0              # keep grid points within this log-density drop
+MAX_GRID_POINTS = 5000
+MAX_AXIS_STEPS = 10
+NEWTON_MAX_ITER = 50
+NEWTON_TOL = 1e-6
+MAX_STEP_HALVINGS = 10
+FD_STEP = 1e-4              # central-difference step for the optimizer
+HESSIAN_STEP = 0.1
+OPTIMIZER_MAX_ITER = 200
+
+log = logging.getLogger("lgmsplit")
+
 
 class InferenceError(RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-@dataclass
-class InferenceConfig:
-    grid_step: float = 1.0          # step in standardized hyperparameter coordinates
-    log_drop: float = 4.0           # keep grid points within this log-density drop
-    max_grid_points: int = 5000
-    max_axis_steps: int = 10
-    newton_max_iter: int = 50
-    newton_tol: float = 1e-6
-    max_step_halvings: int = 10
-    fd_step: float = 1e-4           # central-difference step for the optimizer
-    hessian_step: float = 0.1
-    optimizer_max_iter: int = 200
-    verbose: bool = False
-
-    def log(self, msg):
-        if self.verbose:
-            print(f"[lgmsplit] {msg}", flush=True)
 
 
 class GaussianApprox:
@@ -150,9 +144,7 @@ class HyperGrid:
     mode: np.ndarray
     mode_log_post: float
     hessian: np.ndarray
-    transform: np.ndarray           # theta = mode + transform @ (step * z)
-    grid_step: float
-    log_drop: float
+    transform: np.ndarray           # theta = mode + transform @ (GRID_STEP * z)
 
     @property
     def n_points(self):
@@ -190,16 +182,14 @@ class FitResult:
     theta_mean: np.ndarray
     theta_sd: np.ndarray
     latent: LatentSummary
-    seconds: float
 
 
-def gaussian_approximation(model, theta, config=None, start=None):
+def gaussian_approximation(model, theta, start=None):
     """Newton iteration to the conditional posterior mode of the latent field.
 
     For a gaussian likelihood this is exact and converges in one step; for
     poisson the exact log-link curvature keeps the iteration stable.
     """
-    config = config or InferenceConfig()
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     kap = TIE_PRECISION
     n = model.n_rows
@@ -229,7 +219,7 @@ def gaussian_approximation(model, theta, config=None, start=None):
     grad_norm = math.inf
     converged = False
     it = 0
-    for it in range(1, config.newton_max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         g, c = model.likelihood_grad_curv(eta, theta)
         b_eta = c * eta + g
         weights = kap * c / (kap + c)
@@ -251,7 +241,7 @@ def gaussian_approximation(model, theta, config=None, start=None):
         new_obj = objective(eta_s, z_s, r_s)
         halvings = 0
         while (not np.isfinite(new_obj) or new_obj < obj - 1e-10 * (1.0 + abs(obj))) \
-                and halvings < config.max_step_halvings:
+                and halvings < MAX_STEP_HALVINGS:
             step *= 0.5
             eta_s = eta + step * (eta_new - eta)
             z_s = z + step * (z_new - z)
@@ -269,7 +259,7 @@ def gaussian_approximation(model, theta, config=None, start=None):
         grad_norm = float(max(np.max(np.abs(grad_eta), initial=0.0),
                               np.max(np.abs(grad_z), initial=0.0)))
         scale = 1.0 + math.sqrt(float(eta @ eta + z @ z))
-        if grad_norm <= config.newton_tol * scale:
+        if grad_norm <= NEWTON_TOL * scale:
             converged = True
             break
     if not converged:
@@ -286,17 +276,16 @@ def gaussian_approximation(model, theta, config=None, start=None):
     return GaussianApprox(model, theta, eta, z, resid, c_final, factor, it, grad_norm)
 
 
-def log_posterior_theta(model, theta, config=None, approx=None):
+def log_posterior_theta(model, theta, approx=None):
     """Unnormalized log posterior of the internal hyperparameters.
 
     Combines the hyperprior, the latent prior and likelihood at the
     conditional mode, and the Gaussian approximation correction; defined up
     to one additive constant shared across theta.
     """
-    config = config or InferenceConfig()
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if approx is None:
-        approx = gaussian_approximation(model, theta, config)
+        approx = gaussian_approximation(model, theta)
     kap = TIE_PRECISION
     n = model.latent_dim
     k_con = model.n_constraints
@@ -345,54 +334,65 @@ def _central_hessian(f, x, h):
     return hess
 
 
-def explore_hypergrid(model, config=None, theta_init=None):
+def explore_hypergrid(model, theta_init=None):
     """Locate the hyperparameter mode and integrate over a standardized grid.
 
     Full axis-aligned lattice (breadth-first within the log-drop threshold)
     up to dimension 4; beyond that, axis walks plus hypercube corners.
+    A failed evaluation counts as log density -1e12, except at the mode,
+    where it raises InferenceError.
     """
-    config = config or InferenceConfig()
     d = model.dim_theta
     cache = {}
+    failed = {}                     # key -> why the evaluation failed
 
     def lp(theta):
         theta = np.asarray(theta, dtype=float)
         key = theta.tobytes()
         if key not in cache:
             try:
-                val = log_posterior_theta(model, theta, config)
+                val = log_posterior_theta(model, theta)
             except (NotPositiveDefinite, InferenceError, FloatingPointError,
-                    np.linalg.LinAlgError):
+                    np.linalg.LinAlgError) as exc:
+                failed[key] = f"{type(exc).__name__}: {exc}"
                 val = -math.inf
             if not np.isfinite(val):
+                failed.setdefault(key, f"log posterior is {val}")
                 val = -1e12
             cache[key] = float(val)
         return cache[key]
 
+    def lp_at_mode(theta):
+        val = lp(theta)
+        if theta.tobytes() in failed:
+            raise InferenceError(
+                f"log posterior failed at the hyperparameter mode "
+                f"({failed[theta.tobytes()]})", {"theta": theta.copy()})
+        return val
+
     if d == 0:
         theta0 = np.zeros(0)
-        val = lp(theta0)
+        val = lp_at_mode(theta0)
         return HyperGrid(points=np.zeros((1, 0)), log_post=np.zeros(1),
                          weights=np.ones(1), mode=theta0, mode_log_post=val,
-                         hessian=np.zeros((0, 0)), transform=np.zeros((0, 0)),
-                         grid_step=config.grid_step, log_drop=config.log_drop)
+                         hessian=np.zeros((0, 0)), transform=np.zeros((0, 0)))
 
     x0 = np.zeros(d) if theta_init is None else np.asarray(theta_init, dtype=float).copy()
     neg = lambda t: -lp(t)
-    jac = lambda t: _central_grad(neg, t, config.fd_step)
+    jac = lambda t: _central_grad(neg, t, FD_STEP)
     res = scipy.optimize.minimize(neg, x0, jac=jac, method="BFGS",
-                                  options={"maxiter": config.optimizer_max_iter,
+                                  options={"maxiter": OPTIMIZER_MAX_ITER,
                                            "gtol": 1e-5})
     mode = np.asarray(res.x, dtype=float)
+    mode_lp = lp_at_mode(mode)
     gnorm = float(np.max(np.abs(jac(mode))))
     if gnorm > 1e-2:
         raise InferenceError(
             f"hyperparameter optimization did not converge (|grad| = {gnorm:.2e})",
             {"theta": mode})
-    config.log(f"theta mode {np.array2string(mode, precision=4)} "
-               f"after {res.nfev} evaluations")
+    log.info("theta mode %s after %d evaluations", mode, res.nfev)
 
-    hess = _central_hessian(neg, mode, config.hessian_step)
+    hess = _central_hessian(neg, mode, HESSIAN_STEP)
     lam, vec = np.linalg.eigh(hess)
     floor = 1e-6 * max(float(np.max(np.abs(lam))), 1e-6)
     if np.any(lam <= 0):
@@ -401,11 +401,8 @@ def explore_hypergrid(model, config=None, theta_init=None):
     lam = np.maximum(lam, floor)
     transform = vec @ np.diag(1.0 / np.sqrt(lam))
 
-    mode_lp = lp(mode)
-    step = config.grid_step
-
     def theta_of(z):
-        return mode + transform @ (step * np.asarray(z, dtype=float))
+        return mode + transform @ (GRID_STEP * np.asarray(z, dtype=float))
 
     accepted = {}
     if d <= 4:
@@ -422,32 +419,32 @@ def explore_hypergrid(model, config=None, theta_init=None):
                         zn = list(zc)
                         zn[axis] += sgn
                         zn = tuple(zn)
-                        if zn in evaluated or abs(zn[axis]) > config.max_axis_steps:
+                        if zn in evaluated or abs(zn[axis]) > MAX_AXIS_STEPS:
                             continue
                         evaluated.add(zn)
                         val = lp(theta_of(zn))
-                        if mode_lp - val <= config.log_drop:
+                        if mode_lp - val <= LOG_DROP:
                             accepted[zn] = val
                             nxt.append(zn)
                             n_accepted += 1
             frontier = nxt
-            if n_accepted > config.max_grid_points:
+            if n_accepted > MAX_GRID_POINTS:
                 raise InferenceError("hyperparameter grid exceeded the size cap")
     else:
         accepted[(0,) * d] = mode_lp
         for axis in range(d):
             for sgn in (-1, 1):
-                for k in range(1, config.max_axis_steps + 1):
+                for k in range(1, MAX_AXIS_STEPS + 1):
                     zc = [0] * d
                     zc[axis] = sgn * k
                     val = lp(theta_of(zc))
-                    if mode_lp - val > config.log_drop:
+                    if mode_lp - val > LOG_DROP:
                         break
                     accepted[tuple(zc)] = val
         for corner in range(2 ** d):
             zc = tuple(1 if (corner >> b) & 1 else -1 for b in range(d))
             val = lp(theta_of(zc))
-            if mode_lp - val <= config.log_drop:
+            if mode_lp - val <= LOG_DROP:
                 accepted[zc] = val
 
     keys = sorted(accepted.keys())
@@ -455,22 +452,20 @@ def explore_hypergrid(model, config=None, theta_init=None):
     rel = np.array([accepted[zc] - mode_lp for zc in keys])
     w = np.exp(rel)
     weights = w / w.sum()
-    config.log(f"grid: {len(keys)} points, total evaluations {len(cache)}")
+    log.info("grid: %d points, total evaluations %d", len(keys), len(cache))
     return HyperGrid(points=points, log_post=rel, weights=weights, mode=mode,
-                     mode_log_post=mode_lp, hessian=hess, transform=transform,
-                     grid_step=step, log_drop=config.log_drop)
+                     mode_log_post=mode_lp, hessian=hess, transform=transform)
 
 
-def latent_summary(model, grid, config=None):
+def latent_summary(model, grid):
     """Gaussian-mixture posterior mean and standard deviation per latent coordinate."""
-    config = config or InferenceConfig()
     if grid.n_points == 0:
         raise InferenceError("empty hyperparameter grid")
     n = model.latent_dim
     mean = np.zeros(n)
     second = np.zeros(n)
     for theta, w in zip(grid.points, grid.weights):
-        approx = gaussian_approximation(model, theta, config)
+        approx = gaussian_approximation(model, theta)
         mv = approx.marginal_variances()
         mode = approx.mode
         mean += w * mode
@@ -479,9 +474,8 @@ def latent_summary(model, grid, config=None):
     return LatentSummary(mean=mean, sd=np.sqrt(var), labels=model.latent_labels())
 
 
-def lincomb_posterior(model, grid, a_matrix, config=None):
+def lincomb_posterior(model, grid, a_matrix):
     """Joint posterior mean and covariance of linear combinations A x."""
-    config = config or InferenceConfig()
     a = np.asarray(a_matrix, dtype=float)
     if a.ndim != 2 or a.shape[1] != model.latent_dim:
         raise ModelError(
@@ -490,7 +484,7 @@ def lincomb_posterior(model, grid, a_matrix, config=None):
     mean = np.zeros(k)
     second = np.zeros((k, k))
     for theta, w in zip(grid.points, grid.weights):
-        approx = gaussian_approximation(model, theta, config)
+        approx = gaussian_approximation(model, theta)
         m_g, s_g = approx.lincomb(a)
         mean += w * m_g
         second += w * (s_g + np.outer(m_g, m_g))
@@ -518,14 +512,11 @@ def posterior_as_prior(grid):
     return GaussianThetaPrior(mean, cov)
 
 
-def fit(model, config=None, theta_init=None):
+def fit(model):
     """Full pass: hypergrid, hyperparameter moments and latent summaries."""
-    config = config or InferenceConfig()
-    t0 = time.monotonic()
-    grid = explore_hypergrid(model, config, theta_init=theta_init)
+    grid = explore_hypergrid(model)
     theta_mean, theta_cov = grid.moments()
     theta_sd = np.sqrt(np.maximum(np.diag(theta_cov), 0.0)) if grid.mode.size else np.zeros(0)
-    summary = latent_summary(model, grid, config)
+    summary = latent_summary(model, grid)
     return FitResult(grid=grid, theta_names=model.theta_names(),
-                     theta_mean=theta_mean, theta_sd=theta_sd,
-                     latent=summary, seconds=time.monotonic() - t0)
+                     theta_mean=theta_mean, theta_sd=theta_sd, latent=summary)

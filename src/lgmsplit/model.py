@@ -787,25 +787,21 @@ class CompiledModel:
         self._a_dense = np.zeros((n, zdim))
         np.add.at(self._a_dense, (drows, zcols), dvals)
 
-        # per-row products of design pairs, for A' diag(w) A and a_i' S a_i
-        pr_row, pr_ci, pr_cj, pr_vv = [], [], [], []
-        order = np.argsort(drows, kind="stable")
-        sorted_rows = drows[order]
-        bounds = np.searchsorted(sorted_rows, np.arange(n + 1))
-        for r in range(n):
-            sl = order[bounds[r]:bounds[r + 1]]
-            for a in range(sl.size):
-                ca, va = zcols[sl[a]], dvals[sl[a]]
-                for b in range(a, sl.size):
-                    cb, vb = zcols[sl[b]], dvals[sl[b]]
-                    pr_row.append(r)
-                    pr_ci.append(max(ca, cb))
-                    pr_cj.append(min(ca, cb))
-                    pr_vv.append(va * vb)
-        pr_row = np.array(pr_row, dtype=np.int64)
-        pr_ci = np.array(pr_ci, dtype=np.int64)
-        pr_cj = np.array(pr_cj, dtype=np.int64)
-        pr_vv = np.array(pr_vv)
+        # per-row products of design pairs, for A' diag(w) A and a_i' S a_i:
+        # every block gives each row the same number k of entries, so the
+        # pairs (a <= b) of a row's entries, in block order, are a reshape
+        counts = np.bincount(drows, minlength=n)
+        k = int(counts[0])
+        if np.any(counts != k):
+            raise ModelError("design blocks must give every row the same "
+                             "number of entries")
+        order = np.argsort(drows, kind="stable").reshape(n, k)
+        ia, ib = np.triu_indices(k)
+        ca, cb = zcols[order[:, ia]], zcols[order[:, ib]]
+        pr_row = np.repeat(np.arange(n, dtype=np.int64), ia.size)
+        pr_ci = np.maximum(ca, cb).ravel()
+        pr_cj = np.minimum(ca, cb).ravel()
+        pr_vv = (dvals[order[:, ia]] * dvals[order[:, ib]]).ravel()
 
         # lower-triangle pattern: prior stamps plus the A'A pattern
         zr = [pr_ci] + [np.asarray(s[0], dtype=np.int64) for s in stamp_specs]

@@ -9,18 +9,20 @@ between the two posteriors is referred to a chi-squared distribution with
 the effective rank of its covariance as degrees of freedom.
 """
 
+import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
 from .model import ModelError
-from .inference import (InferenceConfig, InferenceError, explore_hypergrid,
-                        lincomb_posterior, posterior_as_prior)
+from .inference import (InferenceError, explore_hypergrid, lincomb_posterior,
+                        posterior_as_prior)
 
-DEFAULT_RANK_TOL = 1e-8
+DEFAULT_RANK_TOL = 1e-8     # relative eigenvalue cut-off of the discrepancy rank
+
+log = logging.getLogger("lgmsplit")
 
 
 class RankZeroError(ValueError):
@@ -92,7 +94,6 @@ class NodeSplitResult:
     flagged: list                   # group labels flagged by BH at level q
     fit_seconds: float
     split_seconds: float
-    rank_tol: float = DEFAULT_RANK_TOL
 
     @property
     def labels(self):
@@ -112,43 +113,41 @@ def _selection_matrix(model, rows):
     return b
 
 
-def between_group_run(model, split, j, config=None, theta_init=None):
+def between_group_run(model, split, j, theta_init=None):
     """Posterior of group j's predictor given every other group's data.
 
     Returns the joint predictor posterior and the hyperparameter grid of the
     run (the carrier of the cut).
     """
-    config = config or InferenceConfig()
     rows = split.rows[j]
     masked = model.mask_rows(rows)
-    grid = explore_hypergrid(masked, config, theta_init=theta_init)
-    post = lincomb_posterior(masked, grid, _selection_matrix(model, rows), config)
+    grid = explore_hypergrid(masked, theta_init=theta_init)
+    post = lincomb_posterior(masked, grid, _selection_matrix(model, rows))
     return post, grid
 
 
-def within_group_run(model, split, j, cut_prior, config=None):
+def within_group_run(model, split, j, cut_prior):
     """Posterior of group j's predictor from its own data under the cut prior.
 
     All responses outside the group are masked and the hyperpriors are
     replaced by the between-run posterior carrier; priors of fixed effects
     (latent coordinates) are untouched.
     """
-    config = config or InferenceConfig()
     rows = split.rows[j]
     keep = np.zeros(model.n_rows, dtype=bool)
     keep[rows] = True
     others = np.where(model.observed & ~keep)[0]
     masked = model.mask_rows(others).with_theta_prior(cut_prior)
-    grid = explore_hypergrid(masked, config, theta_init=cut_prior.mean)
-    return lincomb_posterior(masked, grid, _selection_matrix(model, rows), config)
+    grid = explore_hypergrid(masked, theta_init=cut_prior.mean)
+    return lincomb_posterior(masked, grid, _selection_matrix(model, rows))
 
 
-def discrepancy(between, within, rank_tol=DEFAULT_RANK_TOL):
+def discrepancy(between, within):
     """Standardized discrepancy between two predictor posteriors.
 
     The difference variance is the sum of the two covariances (the cut makes
     the runs independent); its pseudoinverse is taken on the eigenspace above
-    rank_tol relative to the largest eigenvalue.
+    DEFAULT_RANK_TOL relative to the largest eigenvalue.
     """
     if between.dim != within.dim:
         raise ModelError(
@@ -160,7 +159,7 @@ def discrepancy(between, within, rank_tol=DEFAULT_RANK_TOL):
     lam_max = float(lam.max())
     if lam_max <= 0:
         raise RankZeroError("difference covariance has no positive eigenvalues")
-    keep = lam > rank_tol * lam_max
+    keep = lam > DEFAULT_RANK_TOL * lam_max
     rank = int(np.sum(keep))
     if rank == 0:
         raise RankZeroError("all eigenvalues fall below the rank tolerance")
@@ -199,46 +198,35 @@ def bh_fdr(p_values, q):
     return np.nonzero(p <= crit)[0]
 
 
-def conflict_pvalues(model, group_column=None, q=0.10, config=None,
-                     rank_tol=DEFAULT_RANK_TOL, n_threads=1):
+def conflict_pvalues(model, group_column=None, q=0.10, n_threads=None):
     """Run the full node-split over every group of the grouping variable.
 
-    Per-group failures are recorded and do not stop the remaining groups.
-    The result is deterministic for a given model and data, independent of
-    the number of worker threads.
+    Groups run one after another; per-group failures are recorded and do
+    not stop the remaining groups.  The result is deterministic for a given
+    model and data.  n_threads is accepted for old callers and ignored.
     """
-    config = config or InferenceConfig()
     if group_column is None:
         group_column = model.spec.group
     split = GroupSplit.from_model(model, group_column)
 
     t0 = time.monotonic()
-    full_grid = explore_hypergrid(model, config)
-    theta_star = full_grid.mode
+    theta_star = explore_hypergrid(model).mode
     fit_seconds = time.monotonic() - t0
 
-    def run_group(j):
-        label = split.labels[j]
+    t1 = time.monotonic()
+    outcomes = []
+    for j, label in enumerate(split.labels):
         try:
-            between, grid = between_group_run(model, split, j, config,
-                                              theta_init=theta_star)
-            cut_prior = posterior_as_prior(grid)
-            within = within_group_run(model, split, j, cut_prior, config)
-            res = discrepancy(between, within, rank_tol)
-            config.log(f"group {label}: delta={res.delta_hat:.4g} "
-                       f"rank={res.rank} p={res.p_value:.4g}")
-            return GroupOutcome(label=label, result=res)
+            between, grid = between_group_run(model, split, j, theta_init=theta_star)
+            within = within_group_run(model, split, j, posterior_as_prior(grid))
+            res = discrepancy(between, within)
         except (InferenceError, ModelError, RankZeroError,
                 np.linalg.LinAlgError, ValueError) as exc:
-            return GroupOutcome(label=label, error=str(exc))
-
-    t1 = time.monotonic()
-    indices = range(split.n_groups)
-    if n_threads and n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            outcomes = list(pool.map(run_group, indices))
-    else:
-        outcomes = [run_group(j) for j in indices]
+            outcomes.append(GroupOutcome(label=label, error=str(exc)))
+            continue
+        log.info("group %s: delta=%.4g rank=%d p=%.4g",
+                 label, res.delta_hat, res.rank, res.p_value)
+        outcomes.append(GroupOutcome(label=label, result=res))
     split_seconds = time.monotonic() - t1
 
     ok_idx = [i for i, o in enumerate(outcomes) if o.ok]
@@ -249,7 +237,7 @@ def conflict_pvalues(model, group_column=None, q=0.10, config=None,
             flagged.append(outcomes[ok_idx[int(k)]].label)
     return NodeSplitResult(group_column=group_column, outcomes=outcomes, q=q,
                            flagged=flagged, fit_seconds=fit_seconds,
-                           split_seconds=split_seconds, rank_tol=rank_tol)
+                           split_seconds=split_seconds)
 
 
 # ---------------------------------------------------------------------------

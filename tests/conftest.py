@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lgmsplit import (DataTable, FixedPrecision, Iid, Intercept,
-                      InferenceConfig, LikelihoodFamily, LogGammaPrior,
-                      ModelSpec, build_model, conflict_pvalues, load_rats)
+                      LikelihoodFamily, LogGammaPrior, ModelSpec, build_model,
+                      conflict_pvalues, load_rats)
 
 # Golden conflict p-values for the bundled rat growth data, animals 1..30
 # in order; the split must reproduce these within the acceptance tolerance.
@@ -49,7 +49,6 @@ def rats_model():
 def rats_cut(rats_model):
     """One full node-split of the bundled rat data, shared across tests."""
     t0 = time.monotonic()
-    result = conflict_pvalues(rats_model, "rat", q=0.10,
-                              config=InferenceConfig(), n_threads=2)
+    result = conflict_pvalues(rats_model, "rat", q=0.10)
     wall = time.monotonic() - t0
     return result, wall

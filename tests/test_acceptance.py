@@ -16,7 +16,6 @@ import scipy.stats
 
 from lgmsplit.analytic import AnalyticNormalModel
 from lgmsplit.datasets import generate_lattice
-from lgmsplit.inference import InferenceConfig
 from lgmsplit.model import (DataTable, FixedPrecision, Iid, Intercept,
                             LikelihoodFamily, LogGammaPrior, ModelSpec,
                             build_model)
@@ -24,8 +23,6 @@ from lgmsplit.nodesplit import (GroupSplit, bh_fdr, between_group_run,
                                 chisq_tail, conflict_pvalues, discrepancy)
 from lgmsplit.sparse import SparseSymmetric, factorize
 from conftest import RATS_REFERENCE_P, small_hierarchy
-
-CFG = InferenceConfig()
 
 
 def report(number, label, ok, detail=""):
@@ -73,7 +70,7 @@ class TestCriterion3ExactOracleEquivalence:
             LikelihoodFamily("gaussian", prec_prior=FixedPrecision(tau)), "y",
             [Intercept(precision=p0), Iid("g", prior=FixedPrecision(tau_b))],
             data, group="g"))
-        res = conflict_pvalues(model, "g", config=CFG)
+        res = conflict_pvalues(model, "g")
         assert res.n_failed == 0
 
         kappa = 1e9
@@ -145,7 +142,7 @@ class TestCriterion5LaplaceAccuracy:
         from lgmsplit.inference import log_posterior_theta
         m, y, v0, a, b = conjugate_sweep_model()
         sweep = np.linspace(-1.5, 1.5, 11)
-        diffs = [log_posterior_theta(m, np.array([t]), CFG)
+        diffs = [log_posterior_theta(m, np.array([t]))
                  - analytic_log_posterior(t, y, v0, a, b) for t in sweep]
         spread = max(diffs) - min(diffs)
         ok1 = spread < 1e-6
@@ -175,7 +172,7 @@ class TestCriterion5LaplaceAccuracy:
             return total
 
         sweep2 = np.linspace(-1.0, 1.0, 7)
-        impl = np.array([lpt(mp, np.array([t]), CFG) for t in sweep2])
+        impl = np.array([lpt(mp, np.array([t])) for t in sweep2])
         orac = np.array([quad_lp(t) for t in sweep2])
         rel = (np.max(np.abs((impl - impl[3]) - (orac - orac[3])))
                / max(1.0, float(np.max(np.abs(orac - orac[3])))))
@@ -209,16 +206,16 @@ class TestCriterion7SyntheticPower:
     def test_null_and_injected_conflict(self):
         null_model = small_hierarchy(seed=2026, j_groups=10, n_per=6,
                                      fixed_theta=False)
-        null_res = conflict_pvalues(null_model, "g", config=CFG)
+        null_res = conflict_pvalues(null_model, "g")
         p_null = null_res.p_values()
         ok_null = null_res.n_failed == 0 and float(p_null.min()) > 0.001
 
         split = GroupSplit.from_model(null_model, "g")
-        between, _ = between_group_run(null_model, split, 4, CFG)
+        between, _ = between_group_run(null_model, split, 4)
         shift = 5.0 * float(np.mean(np.sqrt(np.diag(between.cov))))
         shifted = small_hierarchy(seed=2026, j_groups=10, n_per=6,
                                   shift=shift, shift_group=4, fixed_theta=False)
-        res = conflict_pvalues(shifted, "g", config=CFG)
+        res = conflict_pvalues(shifted, "g")
         p = res.p_values()
         ok_power = int(np.argmin(p)) == 4 and p[4] < 0.01
         report(7, "synthetic null and injected-conflict power", ok_null and ok_power,
@@ -229,7 +226,7 @@ class TestCriterion7SyntheticPower:
         # plus heterogeneity model fits and every group yields a usable p
         data, spec, graph = generate_lattice(4, 3, seed=11)
         model = build_model(spec)
-        res = conflict_pvalues(model, "county", config=CFG, n_threads=2)
+        res = conflict_pvalues(model, "county")
         p = res.p_values()
         ok = (res.n_failed == 0 and p.size == 16
               and np.all((p > 0.0) & (p <= 1.0)))
@@ -287,16 +284,16 @@ class TestCriterion9Determinism:
                        "groups": {"type": "loggamma", "a": 1.0, "b": 0.5}},
         }))
         payloads = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"cut_{threads}.csv"
+        for run in ("1", "2"):
+            out = tmp_path / f"cut_{run}.csv"
             proc = subprocess.run(
                 [sys.executable, "-m", "lgmsplit.cli", "cut",
                  "--data", str(tmp_path / "d.csv"),
                  "--model", str(tmp_path / "m.json"),
-                 "--threads", threads, "--out", str(out)],
+                 "--out", str(out)],
                 capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             payloads.append(out.read_bytes())
         ok = payloads[0] == payloads[1] and len(payloads[0]) > 0
-        report(9, "cut output byte-identical across runs and thread counts", ok,
+        report(9, "cut output byte-identical across runs", ok,
                f"{len(payloads[0])} bytes")

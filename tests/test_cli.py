@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from lgmsplit.cli import main
 from lgmsplit.datasets import data_to_csv, rats_file_paths
@@ -147,16 +148,29 @@ class TestCutCommand:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 1
 
-    def test_deterministic_across_runs_and_threads(self, tmp_path):
+    def test_deterministic_across_runs(self, tmp_path):
         data, model = write_small_dataset(tmp_path, j_groups=5)
         outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"cut_{threads}.csv"
+        for run in ("1", "2"):
+            out = tmp_path / f"cut_{run}.csv"
             code = main(["cut", "--data", data, "--model", model,
-                         "--threads", threads, "--out", str(out)])
+                         "--out", str(out)])
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command, progress", [("fit", "[lgmsplit] theta mode"),
+                                               ("cut", "[lgmsplit] group 1: delta=")],
+                         ids=["fit", "cut"])
+def test_verbose_progress_goes_to_stderr(tmp_path, command, progress):
+    data, model = write_small_dataset(tmp_path)
+    code, quiet, _ = run_cli([command, "--data", data, "--model", model])
+    assert code == 0
+    code, loud, err = run_cli([command, "--data", data, "--model", model, "-v"])
+    assert code == 0
+    assert loud == quiet
+    assert progress in err
 
 
 class TestGenLattice:

@@ -7,12 +7,12 @@ from scipy.integrate import quad
 from lgmsplit.model import (DataTable, FixedPrecision, GaussianThetaPrior,
                             Iid, Intercept, LikelihoodFamily, LogGammaPrior,
                             ModelError, ModelSpec, build_model)
-from lgmsplit.inference import (InferenceConfig, InferenceError,
-                                explore_hypergrid, fit, gaussian_approximation,
-                                latent_summary, lincomb_posterior,
-                                log_posterior_theta, posterior_as_prior)
+import lgmsplit.inference as inference
+from lgmsplit.inference import (InferenceError, explore_hypergrid, fit,
+                                gaussian_approximation, latent_summary,
+                                lincomb_posterior, log_posterior_theta,
+                                posterior_as_prior)
 
-CFG = InferenceConfig()
 KAPPA = 1e9
 
 
@@ -47,7 +47,7 @@ class TestGaussianApproximation:
     def test_conjugate_one_dimensional(self):
         # x ~ N(0,1), one observation y=1 with unit precision: mode 1/2, precision 2
         m = one_obs_model("gaussian")
-        approx = gaussian_approximation(m, np.zeros(0), CFG)
+        approx = gaussian_approximation(m, np.zeros(0))
         assert approx.n_iter == 1
         assert abs(approx.mode[0] - 0.5) < 1e-7
         assert abs(1.0 / approx.marginal_variances()[0] - 2.0) < 1e-6
@@ -55,7 +55,7 @@ class TestGaussianApproximation:
     def test_poisson_stationary_at_zero(self):
         # y=1, E=1, x ~ N(0,1): the gradient vanishes exactly at zero
         m = one_obs_model("poisson")
-        approx = gaussian_approximation(m, np.zeros(0), CFG)
+        approx = gaussian_approximation(m, np.zeros(0))
         assert np.max(np.abs(approx.mode)) < 1e-9
         assert abs(1.0 / approx.marginal_variances()[0] - 2.0) < 1e-6
 
@@ -69,7 +69,7 @@ class TestGaussianApproximation:
                          "y", [Intercept(precision=0.5),
                                Iid("g", prior=FixedPrecision(2.0))], data)
         m = build_model(spec)
-        approx = gaussian_approximation(m, np.zeros(0), CFG)
+        approx = gaussian_approximation(m, np.zeros(0))
         a = np.zeros((n, 8))
         a[:, 0] = 1.0
         a[np.arange(n), 1 + np.arange(n) % 7] = 1.0
@@ -81,15 +81,16 @@ class TestGaussianApproximation:
 
     def test_gradient_criterion_holds_at_mode(self):
         m = one_obs_model("poisson")
-        approx = gaussian_approximation(m, np.zeros(0), CFG)
+        approx = gaussian_approximation(m, np.zeros(0))
         assert approx.grad_norm <= 1e-6 * (1.0 + np.linalg.norm(approx.mode))
 
-    def test_nonconvergence_raises_with_diagnostics(self):
+    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):
         data = DataTable({"y": [40.0, 55.0], "u": ["a", "b"]})
         m = build_model(ModelSpec(LikelihoodFamily("poisson"), "y",
                                   [Iid("u", prior=FixedPrecision(0.01))], data))
+        monkeypatch.setattr(inference, "NEWTON_MAX_ITER", 1)
         with pytest.raises(InferenceError) as exc:
-            gaussian_approximation(m, np.zeros(0), InferenceConfig(newton_max_iter=1))
+            gaussian_approximation(m, np.zeros(0))
         assert "grad_norm" in exc.value.diagnostics
 
     def test_likelihood_gradient_matches_finite_differences(self):
@@ -174,7 +175,7 @@ class TestLogPosteriorTheta:
     def test_matches_conjugate_marginal_up_to_constant(self):
         m, y, v0, a, b = conjugate_sweep_model()
         sweep = np.linspace(-1.5, 1.5, 11)
-        diffs = [log_posterior_theta(m, np.array([t]), CFG)
+        diffs = [log_posterior_theta(m, np.array([t]))
                  - analytic_log_posterior(t, y, v0, a, b) for t in sweep]
         assert max(diffs) - min(diffs) < 1e-6
 
@@ -190,15 +191,15 @@ class TestLogPosteriorTheta:
 
         shifted = m.with_theta_prior(Shifted(m, 7.25))
         for t in (-0.5, 0.3, 1.1):
-            base = log_posterior_theta(m, np.array([t]), CFG)
-            assert log_posterior_theta(shifted, np.array([t]), CFG) == \
+            base = log_posterior_theta(m, np.array([t]))
+            assert log_posterior_theta(shifted, np.array([t])) == \
                 pytest.approx(base + 7.25, abs=1e-9)
 
     def test_three_point_constant_invariance(self):
         # differences between theta values do not depend on the arbitrary constant
         m, y, v0, a, b = conjugate_sweep_model(seed=10)
         ts = [-1.0, 0.0, 1.0]
-        vals = [log_posterior_theta(m, np.array([t]), CFG) for t in ts]
+        vals = [log_posterior_theta(m, np.array([t])) for t in ts]
         refs = [analytic_log_posterior(t, y, v0, a, b) for t in ts]
         assert (vals[2] - vals[0]) == pytest.approx(refs[2] - refs[0], abs=1e-6)
         assert (vals[1] - vals[0]) == pytest.approx(refs[1] - refs[0], abs=1e-6)
@@ -230,7 +231,7 @@ class TestLogPosteriorTheta:
             return total
 
         sweep = np.linspace(-1.0, 1.0, 7)
-        impl = np.array([log_posterior_theta(m, np.array([t]), CFG) for t in sweep])
+        impl = np.array([log_posterior_theta(m, np.array([t])) for t in sweep])
         orac = np.array([quad_lp(t) for t in sweep])
         impl_c = impl - impl[3]
         orac_c = orac - orac[3]
@@ -249,22 +250,23 @@ class TestExploreHypergrid:
 
     def test_weights_sum_to_one(self):
         m, *_ = conjugate_sweep_model()
-        grid = explore_hypergrid(m, CFG)
+        grid = explore_hypergrid(m)
         assert abs(grid.weights.sum() - 1.0) < 1e-12
         assert np.all(grid.weights >= 0)
 
     def test_mode_point_has_max_density(self):
         m, *_ = conjugate_sweep_model()
-        grid = explore_hypergrid(m, CFG)
+        grid = explore_hypergrid(m)
         assert grid.log_post.max() <= 0.0 + 1e-12
 
-    def test_exact_gaussian_grid_moments(self):
+    def test_exact_gaussian_grid_moments(self, monkeypatch):
         # with no data the hyperparameter posterior is exactly the prior; a
         # wide drop threshold keeps the truncation bias inside 2 percent
         mean = np.array([0.5, -0.3])
         cov = np.array([[0.5, 0.2], [0.2, 0.4]])
         m = self.gaussian_theta_model(mean, cov)
-        grid = explore_hypergrid(m, InferenceConfig(log_drop=6.0))
+        monkeypatch.setattr(inference, "LOG_DROP", 6.0)
+        grid = explore_hypergrid(m)
         got_mean, got_cov = grid.moments()
         sd = np.sqrt(np.diag(cov))
         assert np.max(np.abs(got_mean - mean) / sd) < 0.02
@@ -272,31 +274,50 @@ class TestExploreHypergrid:
 
     def test_zero_dimensional_grid(self):
         m = one_obs_model("gaussian")
-        grid = explore_hypergrid(m, CFG)
+        grid = explore_hypergrid(m)
         assert grid.n_points == 1
         assert grid.weights[0] == 1.0
 
-    def test_optimizer_failure_raises(self):
+    def test_optimizer_failure_raises(self, monkeypatch):
         m = self.gaussian_theta_model([0.0], [[1e-4]])
-        bad = InferenceConfig(optimizer_max_iter=0)
+        monkeypatch.setattr(inference, "OPTIMIZER_MAX_ITER", 0)
         with pytest.raises(InferenceError):
-            explore_hypergrid(m, bad, theta_init=np.array([50.0]))
+            explore_hypergrid(m, theta_init=np.array([50.0]))
+
+    def test_failure_at_mode_raises(self, monkeypatch):
+        # every evaluation fails, so the optimizer stops where it started;
+        # that point must not become the mode of a flat grid
+        m = self.gaussian_theta_model([0.0], [[1.0]])
+
+        def broken(*args, **kwargs):
+            raise InferenceError("synthetic failure")
+
+        monkeypatch.setattr(inference, "log_posterior_theta", broken)
+        with pytest.raises(InferenceError, match="mode"):
+            explore_hypergrid(m)
+
+    def test_failure_at_zero_dimensional_point_raises(self, monkeypatch):
+        m = one_obs_model("gaussian")
+        monkeypatch.setattr(inference, "log_posterior_theta",
+                            lambda *args, **kwargs: math.nan)
+        with pytest.raises(InferenceError, match="mode"):
+            explore_hypergrid(m)
 
     def test_rats_grid_size_bounds(self, rats_model):
-        grid = explore_hypergrid(rats_model, CFG)
+        grid = explore_hypergrid(rats_model)
         # at least the 3^4 core around the mode survives the drop threshold,
         # and by construction nothing outside the threshold is kept
         assert 3 ** 4 <= grid.n_points <= 1500
         assert np.all(grid.mode_log_post - (grid.log_post + grid.mode_log_post)
-                      <= CFG.log_drop + 1e-9)
+                      <= inference.LOG_DROP + 1e-9)
 
 
 class TestLatentSummary:
     def test_single_point_grid_equals_approximation(self):
         m = one_obs_model("gaussian")
-        grid = explore_hypergrid(m, CFG)
-        summary = latent_summary(m, grid, CFG)
-        approx = gaussian_approximation(m, np.zeros(0), CFG)
+        grid = explore_hypergrid(m)
+        summary = latent_summary(m, grid)
+        approx = gaussian_approximation(m, np.zeros(0))
         assert np.allclose(summary.mean, approx.mode)
         assert np.allclose(summary.sd, np.sqrt(approx.marginal_variances()))
         assert np.all(summary.sd > 0)
@@ -310,8 +331,8 @@ class TestLatentSummary:
                          "y", [Intercept(precision=1.0),
                                Iid("g", prior=FixedPrecision(0.5))], data)
         m = build_model(spec)
-        grid = explore_hypergrid(m, CFG)
-        summary = latent_summary(m, grid, CFG)
+        grid = explore_hypergrid(m)
+        summary = latent_summary(m, grid)
         a = np.zeros((n, 6))
         a[:, 0] = 1.0
         a[np.arange(n), 1 + np.arange(n) % 5] = 1.0
@@ -326,13 +347,13 @@ class TestLatentSummary:
         # within part plus the spread of the two means
         m, *_ = conjugate_sweep_model(n=6, seed=4)
         t_a, t_b = np.array([-0.6]), np.array([0.6])
-        ga, gb = (gaussian_approximation(m, t, CFG) for t in (t_a, t_b))
+        ga, gb = (gaussian_approximation(m, t) for t in (t_a, t_b))
         from lgmsplit.inference import HyperGrid
         grid = HyperGrid(points=np.array([t_a, t_b]), log_post=np.zeros(2),
                          weights=np.array([0.5, 0.5]), mode=t_a,
                          mode_log_post=0.0, hessian=np.eye(1),
-                         transform=np.eye(1), grid_step=1.0, log_drop=4.0)
-        summary = latent_summary(m, grid, CFG)
+                         transform=np.eye(1))
+        summary = latent_summary(m, grid)
         i = m.latent_dim - 1  # the intercept coordinate
         within = 0.5 * (ga.marginal_variances()[i] + gb.marginal_variances()[i])
         mbar = 0.5 * (ga.mode[i] + gb.mode[i])
@@ -344,11 +365,11 @@ class TestLatentSummary:
 class TestLincombPosterior:
     def test_single_coordinate_matches_latent_summary(self):
         m, *_ = conjugate_sweep_model()
-        grid = explore_hypergrid(m, CFG)
-        summary = latent_summary(m, grid, CFG)
+        grid = explore_hypergrid(m)
+        summary = latent_summary(m, grid)
         sel = np.zeros((1, m.latent_dim))
         sel[0, 3] = 1.0
-        lc = lincomb_posterior(m, grid, sel, CFG)
+        lc = lincomb_posterior(m, grid, sel)
         assert lc.mean[0] == pytest.approx(summary.mean[3], abs=1e-12)
         assert math.sqrt(lc.cov[0, 0]) == pytest.approx(summary.sd[3], abs=1e-12)
 
@@ -361,9 +382,9 @@ class TestLincombPosterior:
                          "y", [Intercept(precision=1.0),
                                Iid("g", prior=FixedPrecision(0.7))], data)
         m = build_model(spec)
-        grid = explore_hypergrid(m, CFG)
+        grid = explore_hypergrid(m)
         amat = rng.normal(size=(4, m.latent_dim))
-        lc = lincomb_posterior(m, grid, amat, CFG)
+        lc = lincomb_posterior(m, grid, amat)
         a = np.zeros((n, 5))
         a[:, 0] = 1.0
         a[np.arange(n), 1 + np.arange(n) % 4] = 1.0
@@ -379,59 +400,60 @@ class TestLincombPosterior:
 
     def test_duplicated_row_duplicates_cov(self):
         m, *_ = conjugate_sweep_model()
-        grid = explore_hypergrid(m, CFG)
+        grid = explore_hypergrid(m)
         amat = np.zeros((2, m.latent_dim))
         amat[0, 1] = 1.0
         amat[1, 1] = 1.0
-        lc = lincomb_posterior(m, grid, amat, CFG)
+        lc = lincomb_posterior(m, grid, amat)
         assert lc.cov[0, 0] == lc.cov[1, 1] == lc.cov[0, 1]
         assert lc.mean[0] == lc.mean[1]
 
     def test_zero_row_gives_zero(self):
         m, *_ = conjugate_sweep_model()
-        grid = explore_hypergrid(m, CFG)
-        lc = lincomb_posterior(m, grid, np.zeros((2, m.latent_dim)), CFG)
+        grid = explore_hypergrid(m)
+        lc = lincomb_posterior(m, grid, np.zeros((2, m.latent_dim)))
         assert np.all(lc.cov == 0.0) and np.all(lc.mean == 0.0)
 
     def test_row_permutation_consistency(self):
         m, *_ = conjugate_sweep_model()
-        grid = explore_hypergrid(m, CFG)
+        grid = explore_hypergrid(m)
         rng = np.random.default_rng(1)
         amat = rng.normal(size=(3, m.latent_dim))
         perm = [2, 0, 1]
-        lc = lincomb_posterior(m, grid, amat, CFG)
-        lcp = lincomb_posterior(m, grid, amat[perm], CFG)
+        lc = lincomb_posterior(m, grid, amat)
+        lcp = lincomb_posterior(m, grid, amat[perm])
         assert np.allclose(lcp.mean, lc.mean[perm])
         assert np.allclose(lcp.cov, lc.cov[np.ix_(perm, perm)])
 
     def test_covariance_psd(self):
         m, *_ = conjugate_sweep_model()
-        grid = explore_hypergrid(m, CFG)
+        grid = explore_hypergrid(m)
         amat = np.random.default_rng(0).normal(size=(5, m.latent_dim))
-        lc = lincomb_posterior(m, grid, amat, CFG)
+        lc = lincomb_posterior(m, grid, amat)
         lam = np.linalg.eigvalsh(lc.cov)
         assert lam.min() >= -1e-10 * max(lam.max(), 1e-300)
 
     def test_dimension_mismatch(self):
         m, *_ = conjugate_sweep_model()
-        grid = explore_hypergrid(m, CFG)
+        grid = explore_hypergrid(m)
         with pytest.raises(ModelError):
-            lincomb_posterior(m, grid, np.zeros((1, 3)), CFG)
+            lincomb_posterior(m, grid, np.zeros((1, 3)))
 
 
 class TestPosteriorAsPrior:
-    def test_recovers_exact_gaussian(self):
+    def test_recovers_exact_gaussian(self, monkeypatch):
         mean = np.array([0.7])
         cov = np.array([[0.36]])
         data = DataTable({"y": [np.nan] * 2, "u": ["a", "b"]})
         spec = ModelSpec(LikelihoodFamily("poisson"), "y", [Iid("u")], data,
                          theta_prior=GaussianThetaPrior(mean, cov))
         m = build_model(spec)
-        carrier = posterior_as_prior(explore_hypergrid(m, InferenceConfig(log_drop=6.0)))
+        monkeypatch.setattr(inference, "LOG_DROP", 6.0)
+        carrier = posterior_as_prior(explore_hypergrid(m))
         assert abs(carrier.mean[0] - 0.7) < 0.02 * 0.6
         assert abs(carrier.cov[0, 0] - 0.36) / 0.36 < 0.02
 
-    def test_roundtrip_self_consistency(self):
+    def test_roundtrip_self_consistency(self, monkeypatch):
         mean = np.array([0.4, -0.2])
         cov = np.array([[0.3, 0.1], [0.1, 0.25]])
         data = DataTable({"y": [np.nan] * 2, "u": ["a", "b"]})
@@ -439,9 +461,9 @@ class TestPosteriorAsPrior:
                          [Iid("u", name="p"), Iid("u", name="q")], data,
                          theta_prior=GaussianThetaPrior(mean, cov))
         m = build_model(spec)
-        cfg = InferenceConfig(log_drop=6.0)
-        first = posterior_as_prior(explore_hypergrid(m, cfg))
-        again = posterior_as_prior(explore_hypergrid(m.with_theta_prior(first), cfg))
+        monkeypatch.setattr(inference, "LOG_DROP", 6.0)
+        first = posterior_as_prior(explore_hypergrid(m))
+        again = posterior_as_prior(explore_hypergrid(m.with_theta_prior(first)))
         assert np.max(np.abs(again.mean - first.mean)) < 0.02 * np.sqrt(np.diag(first.cov)).max()
         assert np.max(np.abs(again.cov - first.cov)) / np.max(np.abs(first.cov)) < 0.02
 
@@ -450,20 +472,20 @@ class TestPosteriorAsPrior:
         grid = HyperGrid(points=np.array([[0.3]]), log_post=np.zeros(1),
                          weights=np.ones(1), mode=np.array([0.3]),
                          mode_log_post=0.0, hessian=np.eye(1),
-                         transform=np.eye(1), grid_step=1.0, log_drop=4.0)
+                         transform=np.eye(1))
         with pytest.raises(InferenceError):
             posterior_as_prior(grid)
 
     def test_zero_dimensional_passthrough(self):
         m = one_obs_model("gaussian")
-        carrier = posterior_as_prior(explore_hypergrid(m, CFG))
+        carrier = posterior_as_prior(explore_hypergrid(m))
         assert carrier.dim == 0
 
 
 class TestFit:
     def test_reports_theta_and_latent(self):
         m, y, *_ = conjugate_sweep_model()
-        result = fit(m, CFG)
+        result = fit(m)
         assert len(result.theta_names) == 1
         assert result.theta_sd[0] > 0
         # near-flat intercept prior: posterior mean close to the sample mean

@@ -218,6 +218,61 @@ class TestBuildModel:
             build_model(ModelSpec(LikelihoodFamily("poisson"), "y", blocks, data))
 
 
+def loop_design_pairs(m):
+    """Per-row design pairs (a <= b in block order) by an explicit loop."""
+    n = m.n_rows
+    parts = [blk.design(m.spec.data) for blk in m.spec.blocks]
+    drows = np.concatenate([p[0] for p in parts])
+    zcols = np.concatenate([p[1] + off - n for p, off in zip(parts, m.block_offsets)])
+    dvals = np.concatenate([p[2] for p in parts])
+    pr_row, pr_ci, pr_cj, pr_vv = [], [], [], []
+    order = np.argsort(drows, kind="stable")
+    bounds = np.searchsorted(drows[order], np.arange(n + 1))
+    for r in range(n):
+        sl = order[bounds[r]:bounds[r + 1]]
+        for a in range(sl.size):
+            ca, va = zcols[sl[a]], dvals[sl[a]]
+            for b in range(a, sl.size):
+                cb, vb = zcols[sl[b]], dvals[sl[b]]
+                pr_row.append(r)
+                pr_ci.append(max(ca, cb))
+                pr_cj.append(min(ca, cb))
+                pr_vv.append(va * vb)
+    return (np.array(pr_row, dtype=np.int64), np.array(pr_ci, dtype=np.int64),
+            np.array(pr_cj, dtype=np.int64), np.array(pr_vv))
+
+
+class TestDesignPairs:
+    def assert_pairs_match_loop(self, m):
+        got = (m._pair_row, m._pair_ci, m._pair_cj, m._pair_vv)
+        for g, want in zip(got, loop_design_pairs(m)):
+            assert g.dtype == want.dtype
+            assert g.tobytes() == want.tobytes()
+
+    def test_rats(self, rats_model):
+        self.assert_pairs_match_loop(rats_model)
+
+    def test_lattice(self):
+        from lgmsplit.datasets import generate_lattice
+        _, spec, _ = generate_lattice(4, 3, seed=1)
+        self.assert_pairs_match_loop(build_model(spec))
+
+    def test_mixed_blocks(self):
+        m = gaussian_model(n=9, seed=3, blocks=[
+            Intercept(precision=0.1), Fixed("z"), Iid("g"),
+            Iid2d("g", "z", prior=FixedOmega(np.eye(2)))])
+        self.assert_pairs_match_loop(m)
+
+    def test_ragged_design_rejected(self):
+        class Ragged(Intercept):
+            def design(self, data):
+                n = data.n_rows - 1
+                return np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n)
+
+        with pytest.raises(ModelError):
+            gaussian_model(blocks=[Intercept(precision=0.1), Ragged(precision=0.1)])
+
+
 class TestMaskRows:
     def test_empty_mask_is_identity(self):
         m = gaussian_model()

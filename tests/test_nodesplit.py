@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgmsplit.nodesplit as ns
-from lgmsplit.inference import InferenceConfig, LincombPosterior, explore_hypergrid
+from lgmsplit.inference import LincombPosterior, explore_hypergrid
 from lgmsplit.model import (DataTable, FixedPrecision, GaussianThetaPrior, Iid,
                             Intercept, LikelihoodFamily, LogGammaPrior,
                             ModelError, ModelSpec, build_model)
@@ -18,8 +18,6 @@ from lgmsplit.nodesplit import (GroupSplit, RankZeroError, between_group_run,
                                 result_to_csv, result_to_json_obj,
                                 within_group_run)
 from conftest import RATS_REFERENCE_P, small_hierarchy
-
-CFG = InferenceConfig()
 
 
 def lincomb(mean, cov):
@@ -234,7 +232,7 @@ class TestBetweenWithinRuns:
             LikelihoodFamily("gaussian", prec_prior=FixedPrecision(tau)),
             "y", [Intercept(precision=p0)], data, group="g"))
         split = GroupSplit.from_model(m, "g")
-        post, _ = between_group_run(m, split, 0, CFG)
+        post, _ = between_group_run(m, split, 0)
         shrunk = tau * y[3:].sum() / (p0 + 3 * tau)
         assert np.max(np.abs(post.mean - shrunk)) < 1e-8
         assert post.dim == 3
@@ -255,7 +253,7 @@ class TestBetweenWithinRuns:
         m_hyper = small_hierarchy(fixed_theta=False)
         split = GroupSplit.from_model(m_hyper, "g")
         tiny = GaussianThetaPrior([theta0, theta0], 1e-12 * np.eye(2))
-        post_hyper = within_group_run(m_hyper, split, 2, tiny, CFG)
+        post_hyper = within_group_run(m_hyper, split, 2, tiny)
 
         rng = np.random.default_rng(7)  # regenerate identical data
         groups = np.repeat([str(j + 1) for j in range(4)], 5)
@@ -268,8 +266,7 @@ class TestBetweenWithinRuns:
                   Iid("g", prior=FixedPrecision(math.exp(theta0)))], data, group="g"))
         split_f = GroupSplit.from_model(m_fixed, "g")
         post_fixed = within_group_run(m_fixed, split_f, 2,
-                                      GaussianThetaPrior(np.zeros(0), np.zeros((0, 0))),
-                                      CFG)
+                                      GaussianThetaPrior(np.zeros(0), np.zeros((0, 0))))
         assert np.max(np.abs(post_hyper.mean - post_fixed.mean)) < 1e-3
         assert np.max(np.abs(post_hyper.cov - post_fixed.cov)) < 1e-3
 
@@ -281,27 +278,27 @@ class TestBetweenWithinRuns:
         m = small_hierarchy(j_groups=2, n_per=6)
         split = GroupSplit.from_model(m, "g")
         empty = GaussianThetaPrior(np.zeros(0), np.zeros((0, 0)))
-        w1 = within_group_run(m, split, 1, empty, CFG)
+        w1 = within_group_run(m, split, 1, empty)
         masked = m.mask_rows(split.rows[0])  # the between-run mask of group 0
-        grid = explore_hypergrid(masked, CFG)
+        grid = explore_hypergrid(masked)
         sel = np.zeros((split.rows[1].size, m.latent_dim))
         sel[np.arange(split.rows[1].size), split.rows[1]] = 1.0
-        direct = lincomb_posterior(masked, grid, sel, CFG)
+        direct = lincomb_posterior(masked, grid, sel)
         assert np.allclose(w1.mean, direct.mean, atol=1e-12)
         assert np.allclose(w1.cov, direct.cov, atol=1e-12)
 
 
 class TestConflictPvalues:
-    def test_deterministic_across_thread_counts(self):
+    def test_deterministic_across_runs(self):
         m = small_hierarchy(fixed_theta=False)
-        r1 = conflict_pvalues(m, "g", config=CFG, n_threads=1)
-        r2 = conflict_pvalues(m, "g", config=CFG, n_threads=3)
+        r1 = conflict_pvalues(m, "g")
+        r2 = conflict_pvalues(m, "g")
         assert result_to_csv(r1) == result_to_csv(r2)
 
     def test_permutation_equivariance(self):
         # renaming the groups permutes the p-values identically
         m = small_hierarchy(fixed_theta=False)
-        res = conflict_pvalues(m, "g", config=CFG)
+        res = conflict_pvalues(m, "g")
         rng = np.random.default_rng(7)  # rebuild with renamed labels
         name_map = {"1": "delta", "2": "alpha", "3": "omega", "4": "beta"}
         groups = np.repeat([name_map[str(j + 1)] for j in range(4)], 5)
@@ -312,7 +309,7 @@ class TestConflictPvalues:
             LikelihoodFamily("gaussian", prec_prior=LogGammaPrior(1.0, 0.5)), "y",
             [Intercept(precision=0.01), Iid("g", prior=LogGammaPrior(1.0, 0.5))],
             data, group="g"))
-        res2 = conflict_pvalues(m2, "g", config=CFG)
+        res2 = conflict_pvalues(m2, "g")
         by_label = {o.label: o.result.p_value for o in res2.outcomes}
         for o in res.outcomes:
             assert by_label[name_map[o.label]] == pytest.approx(
@@ -320,7 +317,7 @@ class TestConflictPvalues:
 
     def test_null_smoke_no_tiny_pvalues(self):
         m = small_hierarchy(seed=2026, j_groups=10, n_per=6, fixed_theta=False)
-        res = conflict_pvalues(m, "g", config=CFG)
+        res = conflict_pvalues(m, "g")
         assert res.n_failed == 0
         assert res.p_values().min() > 0.001
 
@@ -330,11 +327,11 @@ class TestConflictPvalues:
         null_model = small_hierarchy(seed=2026, j_groups=10, n_per=6,
                                      fixed_theta=False)
         split = GroupSplit.from_model(null_model, "g")
-        between, _ = between_group_run(null_model, split, 4, CFG)
+        between, _ = between_group_run(null_model, split, 4)
         shift = 5.0 * float(np.mean(np.sqrt(np.diag(between.cov))))
         shifted = small_hierarchy(seed=2026, j_groups=10, n_per=6,
                                   shift=shift, shift_group=4, fixed_theta=False)
-        res = conflict_pvalues(shifted, "g", config=CFG)
+        res = conflict_pvalues(shifted, "g")
         p = res.p_values()
         assert np.argmin(p) == 4
         assert p[4] < 0.01
@@ -343,13 +340,13 @@ class TestConflictPvalues:
         m = small_hierarchy(fixed_theta=False)
         original = ns.within_group_run
 
-        def flaky(model, split, j, cut_prior, config=None):
+        def flaky(model, split, j, cut_prior):
             if split.labels[j] == "2":
                 raise ns.InferenceError("synthetic failure")
-            return original(model, split, j, cut_prior, config)
+            return original(model, split, j, cut_prior)
 
         monkeypatch.setattr(ns, "within_group_run", flaky)
-        res = conflict_pvalues(m, "g", config=CFG)
+        res = conflict_pvalues(m, "g")
         assert res.n_failed == 1
         ok = [o for o in res.outcomes if o.ok]
         assert len(ok) == 3
@@ -358,14 +355,14 @@ class TestConflictPvalues:
 
     def test_group_column_defaults_to_model(self):
         m = small_hierarchy(fixed_theta=False)
-        res = conflict_pvalues(m, config=CFG)
+        res = conflict_pvalues(m)
         assert res.group_column == "g"
 
 
 class TestSerialization:
     def test_csv_roundtrip(self):
         m = small_hierarchy(fixed_theta=False)
-        res = conflict_pvalues(m, "g", config=CFG)
+        res = conflict_pvalues(m, "g")
         text = result_to_csv(res)
         rows = parse_result_csv(text)
         assert len(rows) == 4
@@ -377,7 +374,7 @@ class TestSerialization:
 
     def test_json_structure_with_full_flag(self):
         m = small_hierarchy(fixed_theta=False)
-        res = conflict_pvalues(m, "g", config=CFG)
+        res = conflict_pvalues(m, "g")
         doc = result_to_json_obj(res, full=True)
         assert {g["group"] for g in doc["groups"]} == {"1", "2", "3", "4"}
         first = doc["groups"][0]
