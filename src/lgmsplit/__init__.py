@@ -17,6 +17,6 @@ from .analytic import AnalyticNormalModel, latent_tail, pit, two_sided_p
 from .datasets import (LatticeParams, generate_lattice, load_rats,
                        square_lattice_graph)
 from .sparse import (CholeskyFactor, NotPositiveDefinite, SparseSymmetric,
-                     factorize, solve_for_columns)
+                     factorize)
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ The engine follows the classic three-stage scheme: a Gaussian approximation
 of the latent field at fixed hyperparameters (Newton iteration matching mode
 and curvature), a Laplace-style log posterior over the hyperparameters, and
 numerical integration over an adaptively explored grid in standardized
-hyperparameter coordinates.
+hyperparameter coordinates.  Each hyperparameter point is evaluated once:
+the grid keeps the Gaussian approximation of every accepted point, and the
+latent and linear-combination summaries mix those stored approximations.
 
 Internally the predictor coordinates are eliminated in closed form through
 the tying noise (a Schur complement in the block coordinates), so the
@@ -68,37 +70,28 @@ class GaussianApprox:
         self.log_det = float(np.sum(np.log(kap + curv)))
         if factor_z is not None:
             self.log_det += factor_z.log_det
-        self._sigma_z = None
-        self._con = None              # (chol, logdet, sigma_z_constrained)
 
     @property
     def mode(self):
         return np.concatenate([self.eta, self.z])
 
     def sigma_z(self):
-        """Dense block-space posterior covariance, constraint-corrected."""
-        if self._sigma_z is None:
-            zdim = self.z.size
-            if zdim == 0:
-                self._sigma_z = np.zeros((0, 0))
-            else:
-                sig = self.factor_z.solve(np.eye(zdim))
-                sig = 0.5 * (sig + sig.T)
-                a_con = self._model.z_constraints
-                if a_con.shape[0]:
-                    x = sig @ a_con.T
-                    g = a_con @ x
-                    g = 0.5 * (g + g.T)
-                    chol = scipy.linalg.cho_factor(g, lower=True)
-                    self._con = (chol, float(2.0 * np.sum(np.log(np.diag(chol[0])))))
-                    sig = sig - x @ scipy.linalg.cho_solve(chol, x.T)
-                    sig = 0.5 * (sig + sig.T)
-                self._sigma_z = sig
-        return self._sigma_z
+        """Dense block-space posterior covariance, constraint-corrected (not cached)."""
+        zdim = self.z.size
+        if zdim == 0:
+            return np.zeros((0, 0))
+        sig = self.factor_z.solve(np.eye(zdim))
+        sig = 0.5 * (sig + sig.T)
+        a_con = self._model.z_constraints
+        if a_con.shape[0]:
+            x, chol, _ = _constraint_solve(self.factor_z, a_con)
+            sig = sig - x @ scipy.linalg.cho_solve(chol, x.T)
+            sig = 0.5 * (sig + sig.T)
+        return sig
 
     def constraint_logdet(self):
-        self.sigma_z()
-        return self._con[1] if self._con is not None else 0.0
+        """log det(A Q^-1 A') of the model's constraints under this approximation."""
+        return _constraint_solve(self.factor_z, self._model.z_constraints)[2]
 
     def log_density_at_mode(self):
         """Log density of the (constrained) Gaussian at its own mean."""
@@ -145,6 +138,8 @@ class HyperGrid:
     mode_log_post: float
     hessian: np.ndarray
     transform: np.ndarray           # theta = mode + transform @ (GRID_STEP * z)
+    approx: list                    # GaussianApprox per point, aligned with points
+    n_failed: int                   # evaluations that failed and counted as -1e12
 
     @property
     def n_points(self):
@@ -182,6 +177,18 @@ class FitResult:
     theta_mean: np.ndarray
     theta_sd: np.ndarray
     latent: LatentSummary
+
+
+def _constraint_solve(factor, a_con):
+    """Constraint algebra of A z = 0 under the precision factored in factor.
+
+    Returns X = Q^-1 A' (k solves), the lower Cholesky factor of A X in the
+    form ``scipy.linalg.cho_solve`` takes, and log det(A X).
+    """
+    x = factor.solve(a_con.T)
+    gmat = a_con @ x
+    chol = scipy.linalg.cho_factor(0.5 * (gmat + gmat.T), lower=True)
+    return x, chol, float(2.0 * np.sum(np.log(np.diag(chol[0]))))
 
 
 def gaussian_approximation(model, theta, start=None):
@@ -228,9 +235,7 @@ def gaussian_approximation(model, theta, start=None):
         rhs = a.T @ ((kap / (kap + c)) * b_eta)
         z_new = factor.solve(rhs)
         if k_con:
-            x = factor.solve(a_con.T)
-            gmat = a_con @ x
-            chol = scipy.linalg.cho_factor(0.5 * (gmat + gmat.T), lower=True)
+            x, chol, _ = _constraint_solve(factor, a_con)
             z_new = z_new - x @ scipy.linalg.cho_solve(chol, a_con @ z_new)
         az = a @ z_new
         eta_new = (b_eta + kap * az) / (kap + c)
@@ -297,12 +302,9 @@ def log_posterior_theta(model, theta, approx=None):
     if k_con:
         a_con = model.z_constraints
         prior_factor = factorize(z_prior, ordering=model.z_ordering())
-        x = prior_factor.solve(a_con.T)
-        gmat = a_con @ x
-        chol = scipy.linalg.cho_factor(0.5 * (gmat + gmat.T), lower=True)
+        _, chol, con_logdet = _constraint_solve(prior_factor, a_con)
         r = a_con @ approx.z
         quad = float(r @ scipy.linalg.cho_solve(chol, r))
-        con_logdet = float(2.0 * np.sum(np.log(np.diag(chol[0]))))
         prior_term -= (-0.5 * k_con * LOG_2PI - 0.5 * con_logdet - 0.5 * quad)
     loglik = model.log_likelihood(approx.eta, theta)
     return lp + prior_term + loglik - approx.log_density_at_mode()
@@ -339,43 +341,52 @@ def explore_hypergrid(model, theta_init=None):
 
     Full axis-aligned lattice (breadth-first within the log-drop threshold)
     up to dimension 4; beyond that, axis walks plus hypercube corners.
-    A failed evaluation counts as log density -1e12, except at the mode,
-    where it raises InferenceError.
+    A failed evaluation counts as log density -1e12 and is counted in
+    n_failed, except at the mode, where it raises InferenceError.  The
+    Gaussian approximation of every accepted point is kept on the grid.
     """
     d = model.dim_theta
-    cache = {}
-    failed = {}                     # key -> why the evaluation failed
+    cache = {}                      # theta bytes -> log posterior of each evaluation
+    failed = []                     # why each failed evaluation failed
+
+    def evaluate(theta):
+        """Log posterior and Gaussian approximation; (-1e12, None) on failure."""
+        try:
+            approx = gaussian_approximation(model, theta)
+            val = log_posterior_theta(model, theta, approx)
+            if not np.isfinite(val):
+                raise FloatingPointError(f"log posterior is {val}")
+        except (NotPositiveDefinite, InferenceError, FloatingPointError,
+                np.linalg.LinAlgError) as exc:
+            failed.append(f"{type(exc).__name__}: {exc}")
+            approx, val = None, -1e12
+        val = float(val)
+        cache[theta.tobytes()] = val
+        return val, approx
 
     def lp(theta):
         theta = np.asarray(theta, dtype=float)
         key = theta.tobytes()
         if key not in cache:
-            try:
-                val = log_posterior_theta(model, theta)
-            except (NotPositiveDefinite, InferenceError, FloatingPointError,
-                    np.linalg.LinAlgError) as exc:
-                failed[key] = f"{type(exc).__name__}: {exc}"
-                val = -math.inf
-            if not np.isfinite(val):
-                failed.setdefault(key, f"log posterior is {val}")
-                val = -1e12
-            cache[key] = float(val)
+            evaluate(theta)
         return cache[key]
 
-    def lp_at_mode(theta):
-        val = lp(theta)
-        if theta.tobytes() in failed:
+    def at_mode(theta):
+        # evaluated again even when cached: the grid needs the approximation
+        val, approx = evaluate(theta)
+        if approx is None:
             raise InferenceError(
-                f"log posterior failed at the hyperparameter mode "
-                f"({failed[theta.tobytes()]})", {"theta": theta.copy()})
-        return val
+                f"log posterior failed at the hyperparameter mode ({failed[-1]})",
+                {"theta": theta.copy()})
+        return val, approx
 
     if d == 0:
         theta0 = np.zeros(0)
-        val = lp_at_mode(theta0)
+        val, approx = at_mode(theta0)
         return HyperGrid(points=np.zeros((1, 0)), log_post=np.zeros(1),
                          weights=np.ones(1), mode=theta0, mode_log_post=val,
-                         hessian=np.zeros((0, 0)), transform=np.zeros((0, 0)))
+                         hessian=np.zeros((0, 0)), transform=np.zeros((0, 0)),
+                         approx=[approx], n_failed=0)
 
     x0 = np.zeros(d) if theta_init is None else np.asarray(theta_init, dtype=float).copy()
     neg = lambda t: -lp(t)
@@ -384,7 +395,7 @@ def explore_hypergrid(model, theta_init=None):
                                   options={"maxiter": OPTIMIZER_MAX_ITER,
                                            "gtol": 1e-5})
     mode = np.asarray(res.x, dtype=float)
-    mode_lp = lp_at_mode(mode)
+    mode_lp, mode_approx = at_mode(mode)
     gnorm = float(np.max(np.abs(jac(mode))))
     if gnorm > 1e-2:
         raise InferenceError(
@@ -404,13 +415,12 @@ def explore_hypergrid(model, theta_init=None):
     def theta_of(z):
         return mode + transform @ (GRID_STEP * np.asarray(z, dtype=float))
 
-    accepted = {}
+    accepted = {}                   # grid coordinates -> (log posterior, approx)
     if d <= 4:
         origin = (0,) * d
-        accepted[origin] = mode_lp
+        accepted[origin] = (mode_lp, mode_approx)
         frontier = [origin]
         evaluated = {origin}
-        n_accepted = 1
         while frontier:
             nxt = []
             for zc in frontier:
@@ -422,39 +432,40 @@ def explore_hypergrid(model, theta_init=None):
                         if zn in evaluated or abs(zn[axis]) > MAX_AXIS_STEPS:
                             continue
                         evaluated.add(zn)
-                        val = lp(theta_of(zn))
+                        val, approx = evaluate(theta_of(zn))
                         if mode_lp - val <= LOG_DROP:
-                            accepted[zn] = val
+                            accepted[zn] = (val, approx)
                             nxt.append(zn)
-                            n_accepted += 1
             frontier = nxt
-            if n_accepted > MAX_GRID_POINTS:
+            if len(accepted) > MAX_GRID_POINTS:
                 raise InferenceError("hyperparameter grid exceeded the size cap")
     else:
-        accepted[(0,) * d] = mode_lp
+        accepted[(0,) * d] = (mode_lp, mode_approx)
         for axis in range(d):
             for sgn in (-1, 1):
                 for k in range(1, MAX_AXIS_STEPS + 1):
                     zc = [0] * d
                     zc[axis] = sgn * k
-                    val = lp(theta_of(zc))
+                    val, approx = evaluate(theta_of(zc))
                     if mode_lp - val > LOG_DROP:
                         break
-                    accepted[tuple(zc)] = val
+                    accepted[tuple(zc)] = (val, approx)
         for corner in range(2 ** d):
             zc = tuple(1 if (corner >> b) & 1 else -1 for b in range(d))
-            val = lp(theta_of(zc))
+            val, approx = evaluate(theta_of(zc))
             if mode_lp - val <= LOG_DROP:
-                accepted[zc] = val
+                accepted[zc] = (val, approx)
 
     keys = sorted(accepted.keys())
     points = np.array([theta_of(zc) for zc in keys])
-    rel = np.array([accepted[zc] - mode_lp for zc in keys])
+    rel = np.array([accepted[zc][0] - mode_lp for zc in keys])
     w = np.exp(rel)
     weights = w / w.sum()
-    log.info("grid: %d points, total evaluations %d", len(keys), len(cache))
+    log.info("grid: %d points, %d failed evaluations, total evaluations %d",
+             len(keys), len(failed), len(cache))
     return HyperGrid(points=points, log_post=rel, weights=weights, mode=mode,
-                     mode_log_post=mode_lp, hessian=hess, transform=transform)
+                     mode_log_post=mode_lp, hessian=hess, transform=transform,
+                     approx=[accepted[zc][1] for zc in keys], n_failed=len(failed))
 
 
 def latent_summary(model, grid):
@@ -464,8 +475,7 @@ def latent_summary(model, grid):
     n = model.latent_dim
     mean = np.zeros(n)
     second = np.zeros(n)
-    for theta, w in zip(grid.points, grid.weights):
-        approx = gaussian_approximation(model, theta)
+    for approx, w in zip(grid.approx, grid.weights):
         mv = approx.marginal_variances()
         mode = approx.mode
         mean += w * mode
@@ -483,8 +493,7 @@ def lincomb_posterior(model, grid, a_matrix):
     k = a.shape[0]
     mean = np.zeros(k)
     second = np.zeros((k, k))
-    for theta, w in zip(grid.points, grid.weights):
-        approx = gaussian_approximation(model, theta)
+    for approx, w in zip(grid.approx, grid.weights):
         m_g, s_g = approx.lincomb(a)
         mean += w * m_g
         second += w * (s_g + np.outer(m_g, m_g))

@@ -116,14 +116,15 @@ def _selection_matrix(model, rows):
 def between_group_run(model, split, j, theta_init=None):
     """Posterior of group j's predictor given every other group's data.
 
-    Returns the joint predictor posterior and the hyperparameter grid of the
-    run (the carrier of the cut).
+    Returns the joint predictor posterior and the moment-matched carrier of
+    the run's hyperparameter posterior (the cut prior of the within run).
+    The grid and its approximations are dropped before returning.
     """
     rows = split.rows[j]
     masked = model.mask_rows(rows)
     grid = explore_hypergrid(masked, theta_init=theta_init)
     post = lincomb_posterior(masked, grid, _selection_matrix(model, rows))
-    return post, grid
+    return post, posterior_as_prior(grid)
 
 
 def within_group_run(model, split, j, cut_prior):
@@ -217,8 +218,8 @@ def conflict_pvalues(model, group_column=None, q=0.10, n_threads=None):
     outcomes = []
     for j, label in enumerate(split.labels):
         try:
-            between, grid = between_group_run(model, split, j, theta_init=theta_star)
-            within = within_group_run(model, split, j, posterior_as_prior(grid))
+            between, cut_prior = between_group_run(model, split, j, theta_init=theta_star)
+            within = within_group_run(model, split, j, cut_prior)
             res = discrepancy(between, within)
         except (InferenceError, ModelError, RankZeroError,
                 np.linalg.LinAlgError, ValueError) as exc:

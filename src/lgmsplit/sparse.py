@@ -246,13 +246,3 @@ def _locate_bad_pivot(a, perm):
         a[j:, j] /= r
         a[j + 1:, j + 1:] -= np.outer(a[j + 1:, j], a[j + 1:, j])
 
-
-def solve_for_columns(factor, a):
-    """For a (k, n) combination matrix A return (A Q^-1 A', A Q^-1)."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] != factor.n:
-        raise ValueError(f"combination matrix must be (k, {factor.n})")
-    x = factor.solve(a.T)  # Q^-1 A'
-    aqa = a @ x
-    aqa = 0.5 * (aqa + aqa.T)
-    return aqa, x.T

@@ -303,6 +303,28 @@ class TestExploreHypergrid:
         with pytest.raises(InferenceError, match="mode"):
             explore_hypergrid(m)
 
+    def test_failures_off_the_mode_are_counted(self, monkeypatch):
+        # evaluations beyond 1.5 standard deviations above the mode fail; each
+        # one is counted once and none of them ends up on the grid
+        m, *_ = conjugate_sweep_model()
+        base = explore_hypergrid(m)
+        limit = base.mode[0] + 1.5 * base.transform[0, 0]
+        raised = []
+        original = inference.log_posterior_theta
+
+        def failing_above(model, theta, approx=None):
+            if theta[0] > limit:
+                raised.append(theta[0])
+                raise InferenceError("synthetic failure")
+            return original(model, theta, approx)
+
+        monkeypatch.setattr(inference, "log_posterior_theta", failing_above)
+        grid = explore_hypergrid(m, theta_init=base.mode)
+        assert raised
+        assert grid.n_failed == len(raised)
+        assert np.all(grid.points[:, 0] <= limit)
+        assert len(grid.approx) == grid.n_points
+
     def test_rats_grid_size_bounds(self, rats_model):
         grid = explore_hypergrid(rats_model)
         # at least the 3^4 core around the mode survives the drop threshold,
@@ -352,7 +374,7 @@ class TestLatentSummary:
         grid = HyperGrid(points=np.array([t_a, t_b]), log_post=np.zeros(2),
                          weights=np.array([0.5, 0.5]), mode=t_a,
                          mode_log_post=0.0, hessian=np.eye(1),
-                         transform=np.eye(1))
+                         transform=np.eye(1), approx=[ga, gb], n_failed=0)
         summary = latent_summary(m, grid)
         i = m.latent_dim - 1  # the intercept coordinate
         within = 0.5 * (ga.marginal_variances()[i] + gb.marginal_variances()[i])
@@ -360,6 +382,26 @@ class TestLatentSummary:
         between = 0.5 * ((ga.mode[i] - mbar) ** 2 + (gb.mode[i] - mbar) ** 2)
         assert summary.sd[i] ** 2 == pytest.approx(within + between, rel=1e-10)
         assert abs(ga.mode[i] - gb.mode[i]) > 1e-4  # the spread term is real
+
+
+class TestGridReuse:
+    def test_summaries_use_the_grid_approximations(self, monkeypatch):
+        m, *_ = conjugate_sweep_model()
+        grid = explore_hypergrid(m)
+        amat = np.random.default_rng(4).normal(size=(3, m.latent_dim))
+        summary = latent_summary(m, grid)
+        lc = lincomb_posterior(m, grid, amat)
+
+        def no_new_approximations(*args, **kwargs):
+            raise AssertionError("gaussian_approximation called after the grid")
+
+        monkeypatch.setattr(inference, "gaussian_approximation", no_new_approximations)
+        again = latent_summary(m, grid)
+        lc_again = lincomb_posterior(m, grid, amat)
+        assert np.array_equal(again.mean, summary.mean)
+        assert np.array_equal(again.sd, summary.sd)
+        assert np.array_equal(lc_again.mean, lc.mean)
+        assert np.array_equal(lc_again.cov, lc.cov)
 
 
 class TestLincombPosterior:
@@ -469,10 +511,13 @@ class TestPosteriorAsPrior:
 
     def test_single_point_grid_is_degenerate(self):
         from lgmsplit.inference import HyperGrid
+        m, *_ = conjugate_sweep_model()
         grid = HyperGrid(points=np.array([[0.3]]), log_post=np.zeros(1),
                          weights=np.ones(1), mode=np.array([0.3]),
                          mode_log_post=0.0, hessian=np.eye(1),
-                         transform=np.eye(1))
+                         transform=np.eye(1),
+                         approx=[gaussian_approximation(m, np.array([0.3]))],
+                         n_failed=0)
         with pytest.raises(InferenceError):
             posterior_as_prior(grid)
 

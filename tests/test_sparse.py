@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lgmsplit.sparse import (NotPositiveDefinite, SparseSymmetric, factorize,
-                             min_degree_ordering, solve_for_columns)
+                             min_degree_ordering)
 
 
 def random_sparse_spd(n, seed, fill=4):
@@ -159,42 +159,6 @@ class TestMarginalVariances:
         f = factorize(q)
         assert np.allclose(f.marginal_variances(),
                            np.diag(np.linalg.inv(q.to_dense())), atol=1e-8)
-
-
-class TestSolveForColumns:
-    def test_unit_row_matches_marginal_variance(self):
-        a = random_sparse_spd(40, seed=6)
-        f = factorize(SparseSymmetric.from_dense(a))
-        sel = np.zeros((1, 40))
-        sel[0, 7] = 1.0
-        aqa, _ = solve_for_columns(f, sel)
-        assert abs(aqa[0, 0] - f.marginal_variances()[7]) < 1e-10
-
-    def test_identity_gives_dense_inverse(self):
-        a = random_sparse_spd(12, seed=7)
-        f = factorize(SparseSymmetric.from_dense(a))
-        aqa, aqi = solve_for_columns(f, np.eye(12))
-        inv = np.linalg.inv(a)
-        assert np.allclose(aqa, inv, atol=1e-9)
-        assert np.allclose(aqi, inv, atol=1e-9)
-
-    def test_zero_row(self):
-        f = factorize(SparseSymmetric.from_dense(np.eye(5)))
-        aqa, aqi = solve_for_columns(f, np.zeros((2, 5)))
-        assert np.all(aqa == 0.0) and np.all(aqi == 0.0)
-
-    def test_symmetry_and_psd(self):
-        a = random_sparse_spd(50, seed=9)
-        f = factorize(SparseSymmetric.from_dense(a))
-        amat = np.random.default_rng(3).normal(size=(6, 50))
-        aqa, _ = solve_for_columns(f, amat)
-        assert np.max(np.abs(aqa - aqa.T)) <= 1e-10
-        assert np.linalg.eigvalsh(aqa).min() > 0
-
-    def test_dimension_mismatch(self):
-        f = factorize(SparseSymmetric.from_dense(np.eye(5)))
-        with pytest.raises(ValueError):
-            solve_for_columns(f, np.zeros((2, 6)))
 
 
 class TestSparseSymmetric:
