@@ -336,6 +336,70 @@ def _central_hessian(f, x, h):
     return hess
 
 
+class _Evaluations:
+    """Laplace evaluations of one model: values cached by theta, failures kept."""
+
+    def __init__(self, model):
+        self.model = model
+        self.cache = {}                 # theta bytes -> log posterior
+        self.failed = []
+
+    def __call__(self, theta):
+        """Log posterior and Gaussian approximation; (-1e12, None) on failure."""
+        try:
+            approx = gaussian_approximation(self.model, theta)
+            val = log_posterior_theta(self.model, theta, approx)
+            if not np.isfinite(val):
+                raise FloatingPointError(f"log posterior is {val}")
+        except (NotPositiveDefinite, InferenceError, FloatingPointError,
+                np.linalg.LinAlgError) as exc:
+            self.failed.append(f"{type(exc).__name__}: {exc}")
+            approx, val = None, -1e12
+        val = float(val)
+        self.cache[theta.tobytes()] = val
+        return val, approx
+
+    def neg_lp(self, theta):
+        """Minus the log posterior, evaluated only if theta is new."""
+        theta = np.asarray(theta, dtype=float)
+        key = theta.tobytes()
+        if key not in self.cache:
+            self(theta)
+        return -self.cache[key]
+
+
+def hyper_mode(model, theta_init=None):
+    """Maximize the hyperparameter log posterior, starting at theta_init.
+
+    Returns the mode, the log posterior and Gaussian approximation there,
+    and the evaluations made.  Raises InferenceError if the evaluation at
+    the mode fails or the gradient there exceeds 1e-2.
+    """
+    d = model.dim_theta
+    evals = _Evaluations(model)
+    mode = np.zeros(d) if theta_init is None else np.asarray(theta_init, dtype=float).copy()
+    jac = lambda t: _central_grad(evals.neg_lp, t, FD_STEP)
+    if d:
+        res = scipy.optimize.minimize(evals.neg_lp, mode, jac=jac, method="BFGS",
+                                      options={"maxiter": OPTIMIZER_MAX_ITER,
+                                               "gtol": 1e-5})
+        mode = np.asarray(res.x, dtype=float)
+    # evaluated again even when cached: the grid needs the approximation
+    mode_lp, approx = evals(mode)
+    if approx is None:
+        raise InferenceError(
+            f"log posterior failed at the hyperparameter mode ({evals.failed[-1]})",
+            {"theta": mode.copy()})
+    if d:
+        gnorm = float(np.max(np.abs(jac(mode))))
+        if gnorm > 1e-2:
+            raise InferenceError(
+                f"hyperparameter optimization did not converge (|grad| = {gnorm:.2e})",
+                {"theta": mode})
+        log.info("theta mode %s after %d evaluations", mode, res.nfev)
+    return mode, mode_lp, approx, evals
+
+
 def explore_hypergrid(model, theta_init=None):
     """Locate the hyperparameter mode and integrate over a standardized grid.
 
@@ -346,64 +410,14 @@ def explore_hypergrid(model, theta_init=None):
     Gaussian approximation of every accepted point is kept on the grid.
     """
     d = model.dim_theta
-    cache = {}                      # theta bytes -> log posterior of each evaluation
-    failed = []                     # why each failed evaluation failed
-
-    def evaluate(theta):
-        """Log posterior and Gaussian approximation; (-1e12, None) on failure."""
-        try:
-            approx = gaussian_approximation(model, theta)
-            val = log_posterior_theta(model, theta, approx)
-            if not np.isfinite(val):
-                raise FloatingPointError(f"log posterior is {val}")
-        except (NotPositiveDefinite, InferenceError, FloatingPointError,
-                np.linalg.LinAlgError) as exc:
-            failed.append(f"{type(exc).__name__}: {exc}")
-            approx, val = None, -1e12
-        val = float(val)
-        cache[theta.tobytes()] = val
-        return val, approx
-
-    def lp(theta):
-        theta = np.asarray(theta, dtype=float)
-        key = theta.tobytes()
-        if key not in cache:
-            evaluate(theta)
-        return cache[key]
-
-    def at_mode(theta):
-        # evaluated again even when cached: the grid needs the approximation
-        val, approx = evaluate(theta)
-        if approx is None:
-            raise InferenceError(
-                f"log posterior failed at the hyperparameter mode ({failed[-1]})",
-                {"theta": theta.copy()})
-        return val, approx
-
+    mode, mode_lp, mode_approx, evals = hyper_mode(model, theta_init)
     if d == 0:
-        theta0 = np.zeros(0)
-        val, approx = at_mode(theta0)
         return HyperGrid(points=np.zeros((1, 0)), log_post=np.zeros(1),
-                         weights=np.ones(1), mode=theta0, mode_log_post=val,
+                         weights=np.ones(1), mode=mode, mode_log_post=mode_lp,
                          hessian=np.zeros((0, 0)), transform=np.zeros((0, 0)),
-                         approx=[approx], n_failed=0)
+                         approx=[mode_approx], n_failed=0)
 
-    x0 = np.zeros(d) if theta_init is None else np.asarray(theta_init, dtype=float).copy()
-    neg = lambda t: -lp(t)
-    jac = lambda t: _central_grad(neg, t, FD_STEP)
-    res = scipy.optimize.minimize(neg, x0, jac=jac, method="BFGS",
-                                  options={"maxiter": OPTIMIZER_MAX_ITER,
-                                           "gtol": 1e-5})
-    mode = np.asarray(res.x, dtype=float)
-    mode_lp, mode_approx = at_mode(mode)
-    gnorm = float(np.max(np.abs(jac(mode))))
-    if gnorm > 1e-2:
-        raise InferenceError(
-            f"hyperparameter optimization did not converge (|grad| = {gnorm:.2e})",
-            {"theta": mode})
-    log.info("theta mode %s after %d evaluations", mode, res.nfev)
-
-    hess = _central_hessian(neg, mode, HESSIAN_STEP)
+    hess = _central_hessian(evals.neg_lp, mode, HESSIAN_STEP)
     lam, vec = np.linalg.eigh(hess)
     floor = 1e-6 * max(float(np.max(np.abs(lam))), 1e-6)
     if np.any(lam <= 0):
@@ -432,7 +446,7 @@ def explore_hypergrid(model, theta_init=None):
                         if zn in evaluated or abs(zn[axis]) > MAX_AXIS_STEPS:
                             continue
                         evaluated.add(zn)
-                        val, approx = evaluate(theta_of(zn))
+                        val, approx = evals(theta_of(zn))
                         if mode_lp - val <= LOG_DROP:
                             accepted[zn] = (val, approx)
                             nxt.append(zn)
@@ -446,13 +460,13 @@ def explore_hypergrid(model, theta_init=None):
                 for k in range(1, MAX_AXIS_STEPS + 1):
                     zc = [0] * d
                     zc[axis] = sgn * k
-                    val, approx = evaluate(theta_of(zc))
+                    val, approx = evals(theta_of(zc))
                     if mode_lp - val > LOG_DROP:
                         break
                     accepted[tuple(zc)] = (val, approx)
         for corner in range(2 ** d):
             zc = tuple(1 if (corner >> b) & 1 else -1 for b in range(d))
-            val, approx = evaluate(theta_of(zc))
+            val, approx = evals(theta_of(zc))
             if mode_lp - val <= LOG_DROP:
                 accepted[zc] = (val, approx)
 
@@ -462,10 +476,10 @@ def explore_hypergrid(model, theta_init=None):
     w = np.exp(rel)
     weights = w / w.sum()
     log.info("grid: %d points, %d failed evaluations, total evaluations %d",
-             len(keys), len(failed), len(cache))
+             len(keys), len(evals.failed), len(evals.cache))
     return HyperGrid(points=points, log_post=rel, weights=weights, mode=mode,
                      mode_log_post=mode_lp, hessian=hess, transform=transform,
-                     approx=[accepted[zc][1] for zc in keys], n_failed=len(failed))
+                     approx=[accepted[zc][1] for zc in keys], n_failed=len(evals.failed))
 
 
 def latent_summary(model, grid):

@@ -9,8 +9,15 @@ the predictor through that tie, so the compiled model assembles only the
 block-coordinate prior precision and the design; the full field remains the
 layout in which results are reported.
 
-Compiled models are immutable; masking responses or swapping the
-hyperparameter prior returns cheap copies sharing the assembled structure.
+Each effect block owns its prior: it lists its prior precision entries in
+block coordinates, scales them at its own slice of the hyperparameter
+vector, and gives its log determinant and linear constraints.  A prior of
+the wrong type for its block is rejected when the model is compiled.
+
+Compiled models are immutable plain data (arrays, the spec objects and
+theta slices, no function objects), so they pickle; masking responses or
+swapping the hyperparameter prior returns cheap copies sharing the
+assembled structure.
 """
 
 import json
@@ -224,6 +231,9 @@ class LogGammaPrior:
         th = float(theta[0])
         return self.a * math.log(self.b) - math.lgamma(self.a) + self.a * th - self.b * math.exp(th)
 
+    def precision(self, theta):
+        return math.exp(float(theta[0]))
+
 
 class Wishart2dPrior:
     """Wishart(R, df) on a 2x2 precision, internal scale (logprec, logprec, atanh rho)."""
@@ -243,6 +253,13 @@ class Wishart2dPrior:
 
     def log_density(self, theta):
         return _wishart2d_scalar(self.r, self.df, theta)
+
+    def precision(self, theta):
+        """The entries (w11, w22, w12) of the 2x2 precision."""
+        return _omega_scalar(*theta.tolist())
+
+    def log_det(self, theta):
+        return _omega_log_det(*theta.tolist())
 
 
 class GaussianThetaPrior:
@@ -284,6 +301,9 @@ class FixedPrecision:
             raise ModelError(f"fixed precision must be positive, got {value}")
         self.value = float(value)
 
+    def precision(self, theta):
+        return self.value
+
 
 class FixedOmega:
     """Pins the 2x2 precision of a paired block to a known matrix."""
@@ -296,6 +316,13 @@ class FixedOmega:
             raise ModelError("fixed 2x2 precision must be symmetric positive definite")
         self.omega = 0.5 * (w + w.T)
 
+    def precision(self, theta):
+        """The entries (w11, w22, w12) of the 2x2 precision."""
+        return self.omega[0, 0], self.omega[1, 1], self.omega[0, 1]
+
+    def log_det(self, theta):
+        return math.log(np.linalg.det(self.omega))
+
 
 def _omega_from_internal(theta3):
     t1, t2, t3 = theta3[..., 0], theta3[..., 1], theta3[..., 2]
@@ -307,20 +334,24 @@ def _omega_from_internal(theta3):
     return w11, w22, w12
 
 
+def _omega_scalar(t1, t2, t3):
+    """Entries (w11, w22, w12) of the 2x2 precision at an internal point."""
+    ch = math.cosh(t3)
+    return (math.exp(t1) * ch * ch, math.exp(t2) * ch * ch,
+            -math.exp(0.5 * (t1 + t2)) * math.sinh(t3) * ch)
+
+
+def _omega_log_det(t1, t2, t3):
+    return t1 + t2 + 2.0 * math.log(math.cosh(t3))
+
+
 def _wishart2d_scalar(r, df, theta):
     """Scalar fast path of wishart2d_internal (same math, stdlib only)."""
     t1, t2, t3 = float(theta[0]), float(theta[1]), float(theta[2])
     if max(abs(t1), abs(t2), abs(t3)) > 300.0:
         return -math.inf
-    ch = math.cosh(t3)
-    sh = math.sinh(t3)
-    e1 = math.exp(t1)
-    e2 = math.exp(t2)
-    e12 = math.exp(0.5 * (t1 + t2))
-    w11 = e1 * ch * ch
-    w22 = e2 * ch * ch
-    w12 = -e12 * sh * ch
-    log_det_w = t1 + t2 + 2.0 * math.log(ch)
+    w11, w22, w12 = _omega_scalar(t1, t2, t3)
+    log_det_w = _omega_log_det(t1, t2, t3)
     trace = r[0, 0] * w11 + r[1, 1] * w22 + 2.0 * r[0, 1] * w12
     det_r = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
     a = 0.5 * df
@@ -328,9 +359,10 @@ def _wishart2d_scalar(r, df, theta):
     log_pdf = (0.5 * (df - 3.0) * log_det_w - 0.5 * trace
                + 0.5 * df * math.log(det_r) - df * math.log(2.0) - log_gamma2)
     # closed-form 3x3 Jacobian determinant of the internal transform
-    j13 = 2.0 * e1 * ch * sh
-    j23 = 2.0 * e2 * ch * sh
-    j33 = -e12 * math.cosh(2.0 * t3)
+    ch, sh = math.cosh(t3), math.sinh(t3)
+    j13 = 2.0 * math.exp(t1) * ch * sh
+    j23 = 2.0 * math.exp(t2) * ch * sh
+    j33 = -math.exp(0.5 * (t1 + t2)) * math.cosh(2.0 * t3)
     det_j = (w11 * (w22 * j33 - j23 * 0.5 * w12)
              + j13 * (-w22 * 0.5 * w12))
     out = log_pdf + math.log(abs(det_j))
@@ -389,37 +421,41 @@ def wishart2d_internal(r_matrix, df, theta):
 # effect blocks
 
 
-class Intercept:
-    kind = "intercept"
+class _Block:
+    """An additive effect block that owns its prior, of a type in prior_types.
 
-    def __init__(self, precision=DEFAULT_FIXED_EFFECT_PRECISION, name="intercept"):
-        if precision <= 0:
-            raise ModelError("intercept prior precision must be positive")
-        self.precision = float(precision)
-        self.name = name
-        self.prior = None
+    prior_entries() lists the prior precision in block coordinates, each
+    entry (rows, cols, base values, inference only); prior_scales(theta)
+    gives one multiplier per entry at the block's theta slice.  The default
+    is a diagonal with one scalar precision; subclasses override the rest.
+    """
 
-    def resolve(self, data):
-        self.size = 1
+    prior_types = (LogGammaPrior, FixedPrecision)
 
-    def design(self, data):
-        n = data.n_rows
-        return np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n)
+    def prior_entries(self):
+        idx = np.arange(self.size)
+        return [(idx, idx, np.ones(self.size), False)]
 
-    def labels(self):
-        return [self.name]
+    def prior_scales(self, theta):
+        return (self.prior.precision(theta),)
+
+    def log_det(self, theta):
+        """log det of the block prior precision (inference view)."""
+        return self.size * math.log(self.prior.precision(theta))
+
+    def constraint_rows(self):
+        return np.zeros((0, self.size))
 
 
-class Fixed:
-    kind = "fixed"
+class Fixed(_Block):
+    prior_types = (FixedPrecision,)
 
     def __init__(self, covariate, precision=DEFAULT_FIXED_EFFECT_PRECISION, name=None):
         if precision <= 0:
             raise ModelError("fixed-effect prior precision must be positive")
         self.covariate = covariate
-        self.precision = float(precision)
+        self.prior = FixedPrecision(precision)
         self.name = name or covariate
-        self.prior = None
 
     def resolve(self, data):
         data.numeric(self.covariate)
@@ -434,10 +470,25 @@ class Fixed:
         return [self.name]
 
 
-class Iid:
-    """Exchangeable effects indexed by a grouping column, one shared precision."""
+class Intercept(Fixed):
+    """A fixed effect whose covariate is the constant 1."""
 
-    kind = "iid"
+    def __init__(self, precision=DEFAULT_FIXED_EFFECT_PRECISION, name="intercept"):
+        if precision <= 0:
+            raise ModelError("intercept prior precision must be positive")
+        self.prior = FixedPrecision(precision)
+        self.name = name
+
+    def resolve(self, data):
+        self.size = 1
+
+    def design(self, data):
+        n = data.n_rows
+        return np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n)
+
+
+class Iid(_Block):
+    """Exchangeable effects indexed by a grouping column, one shared precision."""
 
     def __init__(self, index, prior=None, name=None):
         self.index = index
@@ -459,14 +510,14 @@ class Iid:
         return [f"{self.name}[{l}]" for l in self.levels]
 
 
-class Iid2d:
+class Iid2d(_Block):
     """Per-unit (intercept, slope) pairs with a joint 2x2 precision.
 
     Coordinates are interleaved: unit k owns positions (2k, 2k+1); the first
     slot loads with coefficient 1, the second with the slope covariate.
     """
 
-    kind = "iid2d"
+    prior_types = (Wishart2dPrior, FixedOmega)
 
     def __init__(self, index, slope, prior=None, name=None):
         self.index = index
@@ -501,11 +552,21 @@ class Iid2d:
             out.append(f"{self.name}[{l}]:1")
         return out
 
+    def prior_entries(self):
+        even = 2 * np.arange(self.size // 2)
+        ones = np.ones(even.size)
+        return [(even, even, ones, False), (even + 1, even + 1, ones, False),
+                (even + 1, even, ones, False)]
 
-class Besag:
+    def prior_scales(self, theta):
+        return self.prior.precision(theta)
+
+    def log_det(self, theta):
+        return self.size // 2 * self.prior.log_det(theta)
+
+
+class Besag(_Block):
     """Intrinsic CAR effect on a graph; improper, sum-to-zero per component."""
-
-    kind = "besag"
 
     def __init__(self, index, graph, prior=None, name=None):
         if graph is None:
@@ -524,6 +585,13 @@ class Besag:
                 f"graph: {sorted(set(missing))[:5]}")
         self.row_level = np.array([self.graph.index[l] for l in labels], dtype=np.int64)
         self.size = self.graph.n_nodes
+        self._structure = self.structure_coo()
+        # structure determinant with the inference jitter, fixed over theta
+        kr, kc, kv = self._structure
+        kdense = np.zeros((self.size, self.size))
+        kdense[kr, kc] = kv
+        kdense = kdense + np.tril(kdense, -1).T + BESAG_JITTER * np.eye(self.size)
+        self._structure_log_det = float(np.linalg.slogdet(kdense)[1])
 
     def design(self, data):
         n = data.n_rows
@@ -546,6 +614,22 @@ class Besag:
                     vals.append(-1.0)
         return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
                 np.array(vals))
+
+    def prior_entries(self):
+        idx = np.arange(self.size)
+        return [(*self._structure, False),
+                (idx, idx, np.full(self.size, BESAG_JITTER), True)]
+
+    def prior_scales(self, theta):
+        tau = self.prior.precision(theta)
+        return (tau, tau)
+
+    def log_det(self, theta):
+        return super().log_det(theta) + self._structure_log_det
+
+    def constraint_rows(self):
+        comp = self.graph.components
+        return (comp == np.arange(self.graph.n_components)[:, None]).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -598,25 +682,6 @@ class ModelSpec:
 # compiled model
 
 
-class _Stamp:
-    __slots__ = ("pos", "base", "mult", "infer_only")
-
-    def __init__(self, pos, base, mult, infer_only):
-        self.pos = pos
-        self.base = base
-        self.mult = mult
-        self.infer_only = infer_only
-
-
-class _Slot:
-    __slots__ = ("name", "prior", "sl")
-
-    def __init__(self, name, prior, sl):
-        self.name = name
-        self.prior = prior
-        self.sl = sl
-
-
 class CompiledModel:
     """Assembler for the block-coordinate prior precision and likelihood terms."""
 
@@ -656,20 +721,23 @@ class CompiledModel:
             offset += blk.size
         self.latent_dim = offset
 
-        # hyperparameter slots: likelihood precision first, then block priors
-        self.slots = []
+        # theta slices: likelihood precision first, then block priors
+        lik_prior = spec.likelihood.prec_prior
+        owners = [(blk.name, blk.prior, blk.prior_types) for blk in spec.blocks]
+        if lik_prior is not None:
+            owners.insert(0, ("data_precision", lik_prior, (LogGammaPrior, FixedPrecision)))
+        slots = []                      # (name, prior, theta slice) per owner
         pos = 0
-        if spec.likelihood.kind == "gaussian" and not isinstance(
-                spec.likelihood.prec_prior, FixedPrecision):
-            self.slots.append(_Slot("data_precision", spec.likelihood.prec_prior,
-                                    slice(pos, pos + 1)))
-            pos += 1
-        for blk in spec.blocks:
-            prior = blk.prior
-            if prior is None or prior.n_slots == 0:
-                continue
-            self.slots.append(_Slot(blk.name, prior, slice(pos, pos + prior.n_slots)))
+        for name, prior, types in owners:
+            if not isinstance(prior, types):
+                raise ModelError(
+                    f"'{name}' takes a {' or '.join(t.__name__ for t in types)} "
+                    f"prior, got {type(prior).__name__}")
+            slots.append((name, prior, slice(pos, pos + prior.n_slots)))
             pos += prior.n_slots
+        self._lik_slice = slots[0][2] if lik_prior is not None else None
+        self._block_slices = [sl for _, _, sl in slots[len(slots) - len(spec.blocks):]]
+        self.slots = [slot for slot in slots if slot[1].n_slots]
         self.dim_theta = pos
         if self.dim_theta > MAX_THETA_DIM:
             raise ModelError(
@@ -712,77 +780,13 @@ class CompiledModel:
             zcols = np.zeros(0, dtype=np.int64)
             dvals = np.zeros(0)
 
-        # block prior contributions: constants now, theta-scaled ones as stamps
-        stamp_specs = []  # (rows, cols, base, mult, infer_only)
-        constraint_rows = []
-        self._prior_logdet_const = n * math.log(TIE_PRECISION)
-        self._prior_logdet_terms = []  # callables theta -> contribution
-        for blk, off in zip(self.spec.blocks, z_offsets):
-            if blk.kind in ("intercept", "fixed"):
-                self._prior_logdet_const += math.log(blk.precision)
-            elif blk.kind == "iid":
-                idx = off + np.arange(blk.size)
-                mult = self._precision_mult(blk)
-                stamp_specs.append((idx, idx, np.ones(blk.size), mult, False))
-                self._prior_logdet_terms.append(
-                    lambda th, m=blk.size, f=mult: m * math.log(f(th)))
-            elif blk.kind == "iid2d":
-                m = blk.size // 2
-                even = off + 2 * np.arange(m)
-                odd = even + 1
-                if isinstance(blk.prior, FixedOmega):
-                    w = blk.prior.omega
-                    f11 = lambda th, v=w[0, 0]: v
-                    f22 = lambda th, v=w[1, 1]: v
-                    f12 = lambda th, v=w[0, 1]: v
-                    ld = math.log(np.linalg.det(w))
-                    self._prior_logdet_const += m * ld
-                else:
-                    s0 = self._slot_for(blk.name).sl.start
-
-                    def f11(th, s=s0):
-                        ch = math.cosh(th[s + 2])
-                        return math.exp(th[s]) * ch * ch
-
-                    def f22(th, s=s0):
-                        ch = math.cosh(th[s + 2])
-                        return math.exp(th[s + 1]) * ch * ch
-
-                    def f12(th, s=s0):
-                        t3 = th[s + 2]
-                        return (-math.exp(0.5 * (th[s] + th[s + 1]))
-                                * math.sinh(t3) * math.cosh(t3))
-
-                    self._prior_logdet_terms.append(
-                        lambda th, s=s0, mm=m: mm * (
-                            th[s] + th[s + 1] + 2.0 * math.log(math.cosh(th[s + 2]))))
-                ones = np.ones(m)
-                stamp_specs.append((even, even, ones, f11, False))
-                stamp_specs.append((odd, odd, ones, f22, False))
-                stamp_specs.append((odd, even, ones, f12, False))
-            elif blk.kind == "besag":
-                kr, kc, kv = blk.structure_coo()
-                mult = self._precision_mult(blk)
-                stamp_specs.append((kr + off, kc + off, kv, mult, False))
-                idx = off + np.arange(blk.size)
-                stamp_specs.append((idx, idx, np.full(blk.size, BESAG_JITTER), mult, True))
-                # structure determinant with the inference jitter, fixed over theta
-                kdense = np.zeros((blk.size, blk.size))
-                kdense[kr, kc] = kv
-                kdense = kdense + np.tril(kdense, -1).T + BESAG_JITTER * np.eye(blk.size)
-                sign, ldk = np.linalg.slogdet(kdense)
-                self._prior_logdet_terms.append(
-                    lambda th, m=blk.size, f=mult, c=float(ldk): m * math.log(f(th)) + c)
-                for comp in range(blk.graph.n_components):
-                    row = np.zeros(zdim)
-                    row[idx[blk.graph.components == comp]] = 1.0
-                    constraint_rows.append(row)
-            else:
-                raise ModelError(f"unknown block kind '{blk.kind}'")
-        if constraint_rows:
-            self.z_constraints = np.vstack(constraint_rows)
-        else:
-            self.z_constraints = np.zeros((0, zdim))
+        # block constraint rows, shifted to z coordinates
+        cons = [blk.constraint_rows() for blk in self.spec.blocks]
+        self.z_constraints = np.zeros((sum(len(con) for con in cons), zdim))
+        row = 0
+        for con, off in zip(cons, z_offsets):
+            self.z_constraints[row:row + len(con), off:off + con.shape[1]] = con
+            row += len(con)
 
         self._a_dense = np.zeros((n, zdim))
         np.add.at(self._a_dense, (drows, zcols), dvals)
@@ -796,61 +800,52 @@ class CompiledModel:
             raise ModelError("design blocks must give every row the same "
                              "number of entries")
         order = np.argsort(drows, kind="stable").reshape(n, k)
-        ia, ib = np.triu_indices(k)
+        ia, ib = np.nonzero(~np.tri(k, k, -1, dtype=bool))     # np.triu_indices(k), faster
         ca, cb = zcols[order[:, ia]], zcols[order[:, ib]]
         pr_row = np.repeat(np.arange(n, dtype=np.int64), ia.size)
         pr_ci = np.maximum(ca, cb).ravel()
         pr_cj = np.minimum(ca, cb).ravel()
         pr_vv = (dvals[order[:, ia]] * dvals[order[:, ib]]).ravel()
 
-        # lower-triangle pattern: prior stamps plus the A'A pattern
-        zr = [pr_ci] + [np.asarray(s[0], dtype=np.int64) for s in stamp_specs]
-        zc = [pr_cj] + [np.asarray(s[1], dtype=np.int64) for s in stamp_specs]
-        zr.append(np.arange(zdim))  # keep the full diagonal present
-        zc.append(np.arange(zdim))
-        all_r = np.concatenate(zr)
-        all_c = np.concatenate(zc)
-        codes = np.minimum(all_r, all_c) * max(zdim, 1) + np.maximum(all_r, all_c)
-        uniq = np.unique(codes)
+        # lower-triangle pattern: the A'A pairs, the full diagonal and the
+        # block prior entries (shifted to z coordinates)
+        entries = [blk.prior_entries() for blk in self.spec.blocks]
+        entry_codes = [[_lower_codes(r + off, c + off, zdim) for r, c, _, _ in blk_entries]
+                       for blk_entries, off in zip(entries, z_offsets)]
+        pair_codes = _lower_codes(pr_ci, pr_cj, zdim)
+        diag = np.arange(zdim)
+        uniq = np.unique(np.concatenate([pair_codes, _lower_codes(diag, diag, zdim)]
+                                        + [c for codes in entry_codes for c in codes]))
         self._z_rows = uniq % max(zdim, 1)
         self._z_indptr = np.zeros(zdim + 1, dtype=np.int64)
         np.add.at(self._z_indptr, uniq // max(zdim, 1) + 1, 1)
         np.cumsum(self._z_indptr, out=self._z_indptr)
 
-        def zpos(r, c):
-            return np.searchsorted(uniq, np.minimum(r, c) * max(zdim, 1) + np.maximum(r, c))
-
-        zconst = np.zeros(uniq.size)
-        for blk, off in zip(self.spec.blocks, z_offsets):
-            if blk.kind in ("intercept", "fixed"):
-                zconst[zpos(np.array([off]), np.array([off]))] += blk.precision
-        self._z_const_data = zconst
-        self._z_stamps = []
-        for r, c, base, mult, infer_only in stamp_specs:
-            self._z_stamps.append(_Stamp(zpos(np.asarray(r), np.asarray(c)),
-                                         np.asarray(base, dtype=float), mult, infer_only))
+        # per block: (data positions, base values, inference only) per entry;
+        # blocks without hyperparameters are added once, to both views and
+        # to the log determinant
+        stamps = [(blk, sl, [(np.searchsorted(uniq, code), np.asarray(base, dtype=float),
+                              infer_only)
+                             for code, (_, _, base, infer_only) in zip(codes, blk_entries)])
+                  for blk, sl, blk_entries, codes in zip(self.spec.blocks, self._block_slices,
+                                                         entries, entry_codes)]
+        fixed = [st for st in stamps if st[1].start == st[1].stop]
+        self._theta_blocks = [st for st in stamps if st[1].start < st[1].stop]
+        self._z_const = {view: _add_stamps(np.zeros(uniq.size), fixed, np.zeros(0), view)
+                         for view in (False, True)}
+        self._log_det_const = n * math.log(TIE_PRECISION)
+        for blk, _, _ in fixed:
+            self._log_det_const += blk.log_det(np.zeros(0))
         self._pair_row = pr_row
         self._pair_ci = pr_ci
         self._pair_cj = pr_cj
-        self._pair_pos = zpos(pr_ci, pr_cj)
+        self._pair_pos = np.searchsorted(uniq, pair_codes)
         self._pair_vv = pr_vv
         self._pair_offdiag = (pr_ci != pr_cj)
         self._z_ordering = None
         # shared instance so structure caches survive across evaluations
         self._z_template = SparseSymmetric(zdim, self._z_indptr, self._z_rows,
                                            np.zeros(uniq.size))
-
-    def _precision_mult(self, blk):
-        if isinstance(blk.prior, FixedPrecision):
-            return lambda th, v=blk.prior.value: v
-        sl = self._slot_for(blk.name).sl
-        return lambda th, s=sl: math.exp(float(th[s][0]))
-
-    def _slot_for(self, name):
-        for s in self.slots:
-            if s.name == name:
-                return s
-        raise ModelError(f"no hyperparameter slot named '{name}'")
 
     # -- public assembly surface -------------------------------------------
 
@@ -889,11 +884,11 @@ class CompiledModel:
 
     def theta_names(self):
         out = []
-        for s in self.slots:
-            if s.prior.n_slots == 1:
-                out.append(s.name)
+        for name, prior, _ in self.slots:
+            if prior.n_slots == 1:
+                out.append(name)
             else:
-                out.extend(f"{s.name}[{k}]" for k in range(s.prior.n_slots))
+                out.extend(f"{name}[{k}]" for k in range(prior.n_slots))
         return out
 
     def latent_labels(self):
@@ -912,9 +907,9 @@ class CompiledModel:
         """log det of the (jittered) tied joint prior precision, in closed form:
         n_rows * log(kappa) plus the log determinant of ``z_prior``."""
         theta = self._check_theta(theta)
-        out = self._prior_logdet_const
-        for term in self._prior_logdet_terms:
-            out += term(theta)
+        out = self._log_det_const
+        for blk, sl, _ in self._theta_blocks:
+            out += blk.log_det(theta[sl])
         return out
 
     # -- block-space (eta eliminated) assembly -------------------------------
@@ -926,12 +921,8 @@ class CompiledModel:
         return self._z_ordering
 
     def _z_data(self, theta, inference=True):
-        data = self._z_const_data.copy()
-        for st in self._z_stamps:
-            if st.infer_only and not inference:
-                continue
-            data[st.pos] += st.mult(theta) * st.base
-        return data
+        return _add_stamps(self._z_const[bool(inference)].copy(), self._theta_blocks, theta,
+                           inference)
 
     def z_prior(self, theta, inference=True):
         """Block-coordinate prior precision (the tied joint has determinant
@@ -966,15 +957,12 @@ class CompiledModel:
         if self._theta_prior is not None:
             return self._theta_prior.log_density(theta)
         out = 0.0
-        for s in self.slots:
-            out += s.prior.log_density(theta[s.sl])
+        for _, prior, sl in self.slots:
+            out += prior.log_density(theta[sl])
         return out
 
     def _gaussian_precision(self, theta):
-        p = self.spec.likelihood.prec_prior
-        if isinstance(p, FixedPrecision):
-            return p.value
-        return math.exp(float(theta[self._slot_for("data_precision").sl][0]))
+        return self.spec.likelihood.prec_prior.precision(theta[self._lik_slice])
 
     def log_likelihood(self, eta, theta):
         """Sum of observation log densities at predictor values eta (full length)."""
@@ -1040,12 +1028,26 @@ class CompiledModel:
         return out
 
 
+def _add_stamps(data, stamps, theta, inference):
+    """Add each block's scaled prior entries to the pattern data, in place."""
+    for blk, sl, entries in stamps:
+        for (pos, base, infer_only), scale in zip(entries, blk.prior_scales(theta[sl])):
+            if inference or not infer_only:
+                data[pos] += scale * base
+    return data
+
+
+def _lower_codes(rows, cols, n):
+    """Column-major codes of the lower-triangle entries of an n x n matrix."""
+    return np.minimum(rows, cols) * max(n, 1) + np.maximum(rows, cols)
+
+
 def _gammaln_vec(x):
     return np.vectorize(math.lgamma, otypes=[float])(x)
 
 
 def build_model(spec):
-    """Compile a ModelSpec into a precision assembler plus likelihood closure."""
+    """Compile a ModelSpec into a CompiledModel (prior assembler and likelihood)."""
     return CompiledModel(spec)
 
 

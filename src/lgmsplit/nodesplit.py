@@ -17,8 +17,8 @@ import numpy as np
 import scipy.special
 
 from .model import ModelError
-from .inference import (InferenceError, explore_hypergrid, lincomb_posterior,
-                        posterior_as_prior)
+from .inference import (InferenceError, explore_hypergrid, hyper_mode,
+                        lincomb_posterior, posterior_as_prior)
 
 DEFAULT_RANK_TOL = 1e-8     # relative eigenvalue cut-off of the discrepancy rank
 
@@ -202,16 +202,18 @@ def bh_fdr(p_values, q):
 def conflict_pvalues(model, group_column=None, q=0.10, n_threads=None):
     """Run the full node-split over every group of the grouping variable.
 
-    Groups run one after another; per-group failures are recorded and do
-    not stop the remaining groups.  The result is deterministic for a given
-    model and data.  n_threads is accepted for old callers and ignored.
+    The full-data fit only locates the hyperparameter mode, where every
+    between run starts.  Groups run one after another; per-group failures
+    are recorded and do not stop the remaining groups.  The result is
+    deterministic for a given model and data.  n_threads is accepted for
+    old callers and ignored.
     """
     if group_column is None:
         group_column = model.spec.group
     split = GroupSplit.from_model(model, group_column)
 
     t0 = time.monotonic()
-    theta_star = explore_hypergrid(model).mode
+    theta_star = hyper_mode(model)[0]
     fit_seconds = time.monotonic() - t0
 
     t1 = time.monotonic()

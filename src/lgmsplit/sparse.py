@@ -37,6 +37,7 @@ class SparseSymmetric:
             raise ValueError("indices and data must have equal length")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("matrix entries must be finite")
+        self._struct_cache = {}         # pattern-derived arrays, shared by with_data
 
     @classmethod
     def from_coo(cls, n, rows, cols, vals):
@@ -74,10 +75,7 @@ class SparseSymmetric:
 
     def _cols(self):
         # expanded column index per entry, shared across with_data copies
-        cache = getattr(self, "_struct_cache", None)
-        if cache is None:
-            cache = {}
-            self._struct_cache = cache
+        cache = self._struct_cache
         if "cols" not in cache:
             cache["cols"] = np.repeat(np.arange(self.n), np.diff(self.indptr))
             cache["offdiag"] = self.indices != cache["cols"]
@@ -110,8 +108,7 @@ class SparseSymmetric:
         out.indptr = self.indptr
         out.indices = self.indices
         out.data = np.asarray(data, dtype=float)
-        if hasattr(self, "_struct_cache"):
-            out._struct_cache = self._struct_cache
+        out._struct_cache = self._struct_cache
         return out
 
     def quad_form(self, x):

@@ -75,6 +75,25 @@ class TestFitCommand:
         assert code == 2
         assert "nope" in err
 
+    @pytest.mark.parametrize("effect, prior", [
+        ({"type": "iid2d", "name": "growth", "index": "rat", "slope": "t"},
+         {"type": "loggamma", "a": 0.001, "b": 0.001}),
+        ({"type": "iid", "name": "growth", "index": "rat"},
+         {"type": "wishart2d", "R": [[200.0, 0.0], [0.0, 0.2]], "df": 2}),
+    ], ids=["iid2d-loggamma", "iid-wishart2d"])
+    def test_wrong_prior_type_exits_2(self, tmp_path, effect, prior):
+        csv_path, json_path = rats_file_paths()
+        with open(json_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["effects"][2] = effect
+        doc["priors"]["growth"] = prior
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(["fit", "--data", csv_path,
+                                  "--model", str(tmp_path / "m.json")])
+        assert code == 2
+        assert out == ""
+        assert "growth" in err and "prior" in err
+
     def test_rats_fit_emits_four_hyperparameters(self, tmp_path):
         csv_path, json_path = rats_file_paths()
         out = tmp_path / "rats_fit.json"

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from lgmsplit.model import (AdjacencyGraph, Besag, DataTable, Fixed,
                             FixedOmega, FixedPrecision, GaussianThetaPrior,
                             Iid, Iid2d, Intercept, LikelihoodFamily,
                             LogGammaPrior, ModelError, ModelSpec,
-                            TIE_PRECISION, build_model,
+                            TIE_PRECISION, Wishart2dPrior, build_model,
                             canonical_label, read_adjacency,
                             read_data_csv, read_model_json, wishart2d_internal)
 
@@ -218,6 +219,59 @@ class TestBuildModel:
             build_model(ModelSpec(LikelihoodFamily("poisson"), "y", blocks, data))
 
 
+class TestPriorTypes:
+    def test_api_spec_checked_at_build(self):
+        with pytest.raises(ModelError, match="Wishart2dPrior"):
+            gaussian_model(blocks=[Intercept(), Iid("g", prior=Wishart2dPrior(np.eye(2), 3.0))])
+        with pytest.raises(ModelError, match="FixedOmega"):
+            gaussian_model(blocks=[Iid2d("g", "z", prior=FixedPrecision(1.0))])
+
+    def test_data_precision_prior_checked(self):
+        data = DataTable({"y": [1.0, 2.0]})
+        lik = LikelihoodFamily("gaussian", prec_prior=FixedOmega(np.eye(2)))
+        with pytest.raises(ModelError, match="data_precision"):
+            build_model(ModelSpec(lik, "y", [Intercept()], data))
+
+
+class TestPickle:
+    """A compiled model is plain data: it pickles and restores bit for bit."""
+
+    def assert_restores_bitwise(self, m):
+        r = pickle.loads(pickle.dumps(m))
+        rng = np.random.default_rng(5)
+        for k in range(3):
+            theta = 0.3 * rng.normal(size=m.dim_theta) if k else np.zeros(m.dim_theta)
+            weights = rng.uniform(0.1, 2.0, size=m.n_rows)
+            eta = rng.normal(size=m.latent_dim)
+            for view in (True, False):
+                a, b = m.z_prior(theta, inference=view), r.z_prior(theta, inference=view)
+                assert a.data.tobytes() == b.data.tobytes()
+                assert a.indices.tobytes() == b.indices.tobytes()
+                assert a.indptr.tobytes() == b.indptr.tobytes()
+            assert (m.z_posterior_precision(theta, weights).data.tobytes()
+                    == r.z_posterior_precision(theta, weights).data.tobytes())
+            for name in ("prior_log_det", "log_prior_theta"):
+                assert repr(getattr(m, name)(theta)) == repr(getattr(r, name)(theta))
+            assert repr(m.log_likelihood(eta, theta)) == repr(r.log_likelihood(eta, theta))
+            for x, y in zip(m.likelihood_grad_curv(eta, theta),
+                            r.likelihood_grad_curv(eta, theta)):
+                assert x.tobytes() == y.tobytes()
+
+    def test_rats(self, rats_model):
+        self.assert_restores_bitwise(rats_model)
+
+    def test_besag_lattice(self):
+        from lgmsplit.datasets import generate_lattice
+        _, spec, _ = generate_lattice(4, 3, seed=1)
+        self.assert_restores_bitwise(build_model(spec))
+
+    def test_fixed_precision_and_fixed_omega_blocks(self):
+        self.assert_restores_bitwise(gaussian_model(n=9, seed=3, blocks=[
+            Intercept(precision=0.1), Fixed("z"), Iid("g", prior=FixedPrecision(2.0)),
+            Iid2d("g", "z", prior=FixedOmega(np.array([[2.0, 0.3], [0.3, 1.0]]))),
+            Iid("g", prior=LogGammaPrior(1.0, 0.5), name="free")]))
+
+
 def loop_design_pairs(m):
     """Per-row design pairs (a <= b in block order) by an explicit loop."""
     n = m.n_rows
@@ -397,6 +451,25 @@ class TestWishart2dInternal:
             wishart2d_internal(np.eye(2), 1.0, np.zeros(3))
 
 
+class TestWishart2dPrior:
+    """The scalar path the library runs, against the vectorized reference."""
+
+    R = np.diag([200.0, 0.2])
+
+    def test_matches_vectorized_reference(self):
+        prior = Wishart2dPrior(self.R, 2.0)
+        rng = np.random.default_rng(4)
+        points = np.vstack([np.zeros(3), rng.normal(scale=2.0, size=(50, 3))])
+        for t in points:
+            assert prior.log_density(t) == pytest.approx(
+                wishart2d_internal(self.R, 2.0, t), rel=1e-12, abs=1e-9)
+
+    def test_beyond_cutoff_is_minus_infinity(self):
+        prior = Wishart2dPrior(self.R, 2.0)
+        for t in ([300.5, 0.0, 0.0], [0.0, -301.0, 0.0], [0.0, 0.0, 400.0]):
+            assert prior.log_density(np.array(t)) == -math.inf
+
+
 class TestModelJson:
     def test_rats_document_loads(self, tmp_path):
         from lgmsplit.datasets import rats_file_paths
@@ -435,6 +508,24 @@ class TestModelJson:
         data = DataTable({"y": [1.0, 2.0]})
         with pytest.raises(ModelError):
             read_model_json(str(p), data)
+
+    @pytest.mark.parametrize("effect, prior", [
+        ({"type": "iid2d", "name": "growth", "index": "rat", "slope": "t"},
+         {"type": "loggamma", "a": 1, "b": 1}),
+        ({"type": "iid", "name": "growth", "index": "rat"},
+         {"type": "wishart2d", "R": [[1, 0], [0, 1]], "df": 3}),
+    ])
+    def test_wrong_prior_type_rejected_at_build(self, tmp_path, effect, prior):
+        from lgmsplit.datasets import rats_file_paths
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({
+            "likelihood": "gaussian", "response": "y",
+            "effects": [{"type": "intercept"}, effect],
+            "priors": {"growth": prior},
+        }))
+        spec = read_model_json(str(p), read_data_csv(rats_file_paths()[0]))
+        with pytest.raises(ModelError, match="growth"):
+            build_model(spec)
 
     def test_gaussian_theta_prior_via_reserved_key(self, tmp_path):
         p = tmp_path / "m.json"

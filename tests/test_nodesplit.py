@@ -353,6 +353,24 @@ class TestConflictPvalues:
         bad = [o for o in res.outcomes if not o.ok][0]
         assert bad.label == "2" and "synthetic failure" in bad.error
 
+    def test_initial_fit_builds_no_grid(self, monkeypatch):
+        # the full-data fit only supplies the between runs' starting point
+        m = small_hierarchy(fixed_theta=False)
+        grids = []
+        original = ns.explore_hypergrid
+
+        def counted(model, theta_init=None):
+            grids.append(theta_init)
+            return original(model, theta_init=theta_init)
+
+        monkeypatch.setattr(ns, "explore_hypergrid", counted)
+        res = conflict_pvalues(m, "g")
+        assert res.n_failed == 0
+        assert len(grids) == 2 * 4
+        mode = explore_hypergrid(m).mode
+        assert all(t is not None for t in grids)
+        assert grids[0].tobytes() == mode.tobytes()
+
     def test_group_column_defaults_to_model(self):
         m = small_hierarchy(fixed_theta=False)
         res = conflict_pvalues(m)

@@ -188,3 +188,18 @@ class TestSparseSymmetric:
         q = SparseSymmetric.from_dense(a)
         perm = min_degree_ordering(q.n, q.indptr, q.indices)
         assert sorted(perm.tolist()) == list(range(30))
+
+
+class TestStructureCache:
+    def test_z_prior_results_share_one_filled_cache(self):
+        from lgmsplit.datasets import generate_lattice
+        from lgmsplit.model import build_model
+        _, spec, _ = generate_lattice(4, 3, seed=1)
+        m = build_model(spec)
+        theta = np.zeros(m.dim_theta)
+        a, b = m.z_prior(theta), m.z_prior(theta)
+        a.quad_form(np.ones(a.n))
+        factorize(b, ordering=m.z_ordering())
+        assert a._struct_cache is b._struct_cache
+        assert "cols" in b._struct_cache
+        assert len(a._struct_cache) == 3     # cols, offdiag, one permutation
