@@ -31,8 +31,9 @@ print(f"latent layout: {model.n_rows} predictor coordinates + "
       f"{model.z_dim} block coordinates")
 
 q = model.z_prior(np.zeros(2))
-print(f"block-coordinate prior precision: {q.n}x{q.n} with {q.data.size} "
-      "stored lower-triangle entries")
+print(f"block-coordinate prior precision ({q.shape[0]}x{q.shape[1]}):")
+with np.printoptions(precision=4, suppress=True):
+    print(q)
 
 grid = explore_hypergrid(model)
 mean, cov = grid.moments()

@@ -16,7 +16,6 @@ from .nodesplit import (DiscrepancyResult, GroupSplit, NodeSplitResult,
 from .analytic import AnalyticNormalModel, latent_tail, pit, two_sided_p
 from .datasets import (LatticeParams, generate_lattice, load_rats,
                        square_lattice_graph)
-from .sparse import (CholeskyFactor, NotPositiveDefinite, SparseSymmetric,
-                     factorize)
+from .sparse import CholeskyFactor, NotPositiveDefinite, factorize
 
 __version__ = "0.1.0"

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+import scipy.linalg
 
 from .model import (AdjacencyGraph, DataTable, ModelError, read_data_csv,
                     read_model_json)
-from .sparse import SparseSymmetric, factorize
+from .sparse import factorize
 
 
 def _data_path(name):
@@ -72,28 +73,63 @@ def square_lattice_graph(m):
 
 def _sample_icar(graph, sigma, rng):
     """Draw from the intrinsic CAR with conditional scale sigma, sum-to-zero
-    imposed per connected component."""
+    imposed per connected component.
+
+    The precision is factored in minimum-degree order: the order fixes
+    which draw a seed gives, so generated data stay the same across versions.
+    """
     n = graph.n_nodes
-    rows = list(range(n))
-    cols = list(range(n))
-    vals = [float(d) + 1e-7 for d in graph.degrees]
-    for i in range(n):
-        for j in graph.neighbors[i]:
-            if j < i:
-                rows.append(i)
-                cols.append(int(j))
-                vals.append(-1.0)
-    q = SparseSymmetric.from_coo(n, np.array(rows), np.array(cols),
-                                 np.array(vals) / sigma ** 2)
-    f = factorize(q)
-    x = f.solve_lt(rng.standard_normal(n))
+    q = np.diag(graph.degrees + 1e-7)
+    for i, nb in enumerate(graph.neighbors):
+        q[i, nb] = -1.0
+    q /= sigma ** 2
+    perm = _min_degree_ordering(graph)
+    iperm = np.argsort(perm)
+    f = factorize(q[np.ix_(perm, perm)])
+    # L' w = b with b standard normal gives w covariance (P Q P')^-1
+    x = scipy.linalg.solve_triangular(f.l_matrix(), rng.standard_normal(n),
+                                      lower=True, trans="T")[iperm]
     for comp in range(graph.n_components):
-        mask = graph.components == comp
-        a = np.zeros((1, n))
-        a[0, mask] = 1.0
-        qinv_at = f.solve(a[0])
-        x = x - qinv_at * (float(a[0] @ x) / float(a[0] @ qinv_at))
+        a = (graph.components == comp).astype(float)
+        qinv_at = f.solve(a[perm])[iperm]
+        x = x - qinv_at * (float(a @ x) / float(a @ qinv_at))
     return x
+
+
+def _min_degree_ordering(graph):
+    """Greedy minimum-degree elimination order of the graph's nodes."""
+    n = graph.n_nodes
+    adj = [set() for _ in range(n)]
+    for j in range(n):
+        for i in graph.neighbors[j]:
+            if i > j:
+                adj[i].add(j)
+                adj[j].add(i)
+    alive = np.ones(n, dtype=bool)
+    degree = np.array([len(a) for a in adj], dtype=np.int64)
+    perm = np.empty(n, dtype=np.int64)
+    for step in range(n):
+        best = -1
+        best_deg = n + 1
+        for v in range(n):
+            if alive[v] and degree[v] < best_deg:
+                best = v
+                best_deg = degree[v]
+        perm[step] = best
+        alive[best] = False
+        nbrs = [u for u in adj[best] if alive[u]]
+        for u in nbrs:
+            adj[u].discard(best)
+        for a in range(len(nbrs)):
+            u = nbrs[a]
+            for b in range(a + 1, len(nbrs)):
+                w = nbrs[b]
+                if w not in adj[u]:
+                    adj[u].add(w)
+                    adj[w].add(u)
+        for u in nbrs:
+            degree[u] = len(adj[u])
+    return perm
 
 
 def generate_lattice(m, t_periods, seed, params=None):

@@ -12,6 +12,7 @@ Internally the predictor coordinates are eliminated in closed form through
 the tying noise (a Schur complement in the block coordinates), so the
 factorized system stays well conditioned regardless of the large tying
 precision; all reported quantities still refer to the full latent field.
+Block-space precisions are dense symmetric arrays, factored as they come.
 """
 
 import logging
@@ -217,7 +218,7 @@ def gaussian_approximation(model, theta, start=None):
         resid = eta - a @ z
 
     def objective(eta_v, z_v, r_v):
-        val = (-0.5 * (kap * float(r_v @ r_v) + z_prior.quad_form(z_v))
+        val = (-0.5 * (kap * float(r_v @ r_v) + float(z_v @ z_prior @ z_v))
                + model.log_likelihood(eta_v, theta))
         return val
 
@@ -231,7 +232,7 @@ def gaussian_approximation(model, theta, start=None):
         b_eta = c * eta + g
         weights = kap * c / (kap + c)
         qz = model.z_posterior_precision(theta, weights)
-        factor = factorize(qz, ordering=model.z_ordering())
+        factor = factorize(qz)
         rhs = a.T @ ((kap / (kap + c)) * b_eta)
         z_new = factor.solve(rhs)
         if k_con:
@@ -257,7 +258,7 @@ def gaussian_approximation(model, theta, start=None):
 
         g2, _ = model.likelihood_grad_curv(eta, theta)
         grad_eta = -kap * resid + g2
-        grad_z = -z_prior.matvec(z) + kap * (a.T @ resid)
+        grad_z = -(z_prior @ z) + kap * (a.T @ resid)
         if k_con:
             lam = np.linalg.solve(a_con @ a_con.T, a_con @ grad_z)
             grad_z = grad_z - a_con.T @ lam
@@ -277,7 +278,7 @@ def gaussian_approximation(model, theta, start=None):
     if not np.array_equal(c_final, c):
         weights = kap * c_final / (kap + c_final)
         qz = model.z_posterior_precision(theta, weights)
-        factor = factorize(qz, ordering=model.z_ordering())
+        factor = factorize(qz)
     return GaussianApprox(model, theta, eta, z, resid, c_final, factor, it, grad_norm)
 
 
@@ -297,11 +298,11 @@ def log_posterior_theta(model, theta, approx=None):
 
     lp = model.log_prior_theta(theta)
     z_prior = model.z_prior(theta)
-    prior_quad = kap * float(approx.resid @ approx.resid) + z_prior.quad_form(approx.z)
+    prior_quad = kap * float(approx.resid @ approx.resid) + float(approx.z @ z_prior @ approx.z)
     prior_term = (0.5 * model.prior_log_det(theta) - 0.5 * prior_quad - 0.5 * n * LOG_2PI)
     if k_con:
         a_con = model.z_constraints
-        prior_factor = factorize(z_prior, ordering=model.z_ordering())
+        prior_factor = factorize(z_prior)
         _, chol, con_logdet = _constraint_solve(prior_factor, a_con)
         r = a_con @ approx.z
         quad = float(r @ scipy.linalg.cho_solve(chol, r))

@@ -6,8 +6,8 @@ first, followed by the block coefficients; the predictor coordinates are tied
 to the sum of their block contributions by a large fixed precision so that
 joint posteriors of predictor subsets are well defined.  Inference eliminates
 the predictor through that tie, so the compiled model assembles only the
-block-coordinate prior precision and the design; the full field remains the
-layout in which results are reported.
+block-coordinate prior precision, as a dense symmetric array, and the design;
+the full field remains the layout in which results are reported.
 
 Each effect block owns its prior: it lists its prior precision entries in
 block coordinates, scales them at its own slice of the hyperparameter
@@ -25,8 +25,6 @@ import math
 import os
 
 import numpy as np
-
-from .sparse import SparseSymmetric, min_degree_ordering
 
 TIE_PRECISION = 1e9
 BESAG_JITTER = 1e-7
@@ -84,13 +82,13 @@ class DataTable:
         if name not in self.columns:
             raise ModelError(f"unknown column '{name}'")
         col = self.columns[name]
-        if col.dtype == object:
-            if any(v is None for v in col):
-                raise ModelError(f"column '{name}' contains missing values")
-            return [canonical_label(v) for v in col]
-        if np.isnan(col).any():
+        missing = any(v is None for v in col) if col.dtype == object else np.isnan(col).any()
+        if missing:
             raise ModelError(f"column '{name}' contains missing values")
-        return [canonical_label(v) for v in col]
+        # each distinct value is canonicalized once
+        values, inverse = np.unique(col, return_inverse=True)
+        canon = np.array([canonical_label(v) for v in values], dtype=object)
+        return canon[inverse].tolist()
 
 
 def canonical_label(value):
@@ -807,31 +805,21 @@ class CompiledModel:
         pr_cj = np.minimum(ca, cb).ravel()
         pr_vv = (dvals[order[:, ia]] * dvals[order[:, ib]]).ravel()
 
-        # lower-triangle pattern: the A'A pairs, the full diagonal and the
-        # block prior entries (shifted to z coordinates)
-        entries = [blk.prior_entries() for blk in self.spec.blocks]
-        entry_codes = [[_lower_codes(r + off, c + off, zdim) for r, c, _, _ in blk_entries]
-                       for blk_entries, off in zip(entries, z_offsets)]
-        pair_codes = _lower_codes(pr_ci, pr_cj, zdim)
-        diag = np.arange(zdim)
-        uniq = np.unique(np.concatenate([pair_codes, _lower_codes(diag, diag, zdim)]
-                                        + [c for codes in entry_codes for c in codes]))
-        self._z_rows = uniq % max(zdim, 1)
-        self._z_indptr = np.zeros(zdim + 1, dtype=np.int64)
-        np.add.at(self._z_indptr, uniq // max(zdim, 1) + 1, 1)
-        np.cumsum(self._z_indptr, out=self._z_indptr)
-
-        # per block: (data positions, base values, inference only) per entry;
+        # per block: (flat positions, base values, inference only) per entry,
+        # where the dense z precision holds each prior entry and A'A pair
+        # (r, c) at r * zdim + c and, off the diagonal, also at c * zdim + r;
         # blocks without hyperparameters are added once, to both views and
         # to the log determinant
-        stamps = [(blk, sl, [(np.searchsorted(uniq, code), np.asarray(base, dtype=float),
-                              infer_only)
-                             for code, (_, _, base, infer_only) in zip(codes, blk_entries)])
-                  for blk, sl, blk_entries, codes in zip(self.spec.blocks, self._block_slices,
-                                                         entries, entry_codes)]
+        stamps = []
+        for blk, sl, off in zip(self.spec.blocks, self._block_slices, z_offsets):
+            entries = []
+            for rows, cols, base, infer_only in blk.prior_entries():
+                take, pos = _mirrored(rows + off, cols + off, zdim)
+                entries.append((pos, np.asarray(base, dtype=float)[take], infer_only))
+            stamps.append((blk, sl, entries))
         fixed = [st for st in stamps if st[1].start == st[1].stop]
         self._theta_blocks = [st for st in stamps if st[1].start < st[1].stop]
-        self._z_const = {view: _add_stamps(np.zeros(uniq.size), fixed, np.zeros(0), view)
+        self._z_const = {view: _add_stamps(np.zeros((zdim, zdim)), fixed, np.zeros(0), view)
                          for view in (False, True)}
         self._log_det_const = n * math.log(TIE_PRECISION)
         for blk, _, _ in fixed:
@@ -839,13 +827,9 @@ class CompiledModel:
         self._pair_row = pr_row
         self._pair_ci = pr_ci
         self._pair_cj = pr_cj
-        self._pair_pos = np.searchsorted(uniq, pair_codes)
+        self._pair_take, self._pair_pos = _mirrored(pr_ci, pr_cj, zdim)
         self._pair_vv = pr_vv
         self._pair_offdiag = (pr_ci != pr_cj)
-        self._z_ordering = None
-        # shared instance so structure caches survive across evaluations
-        self._z_template = SparseSymmetric(zdim, self._z_indptr, self._z_rows,
-                                           np.zeros(uniq.size))
 
     # -- public assembly surface -------------------------------------------
 
@@ -915,32 +899,34 @@ class CompiledModel:
     # -- block-space (eta eliminated) assembly -------------------------------
 
     def z_ordering(self):
-        if self._z_ordering is None:
-            self._z_ordering = min_degree_ordering(
-                self.z_dim, self._z_indptr, self._z_rows)
-        return self._z_ordering
+        """The identity permutation of the block coordinates.
 
-    def _z_data(self, theta, inference=True):
+        Factorizations apply no ordering.  This stays only because the
+        benchmark's model set-up (bench/child.py) and its contract test
+        call it; it goes with the next change to the benchmark.
+        """
+        return np.arange(self.z_dim)
+
+    def _z_matrix(self, theta, inference):
         return _add_stamps(self._z_const[bool(inference)].copy(), self._theta_blocks, theta,
                            inference)
 
     def z_prior(self, theta, inference=True):
-        """Block-coordinate prior precision (the tied joint has determinant
-        kappa^n_rows times this one's).
+        """Block-coordinate prior precision, a dense symmetric array (the
+        tied joint has determinant kappa^n_rows times this one's).
 
         With inference=False it is exactly the specified prior: improper
         blocks keep their zero row sums.  The inference view adds a tiny
         relative jitter to keep factorizations well posed.
         """
-        theta = self._check_theta(theta)
-        return self._z_template.with_data(self._z_data(theta, inference))
+        return self._z_matrix(self._check_theta(theta), inference)
 
     def z_posterior_precision(self, theta, weights):
         """Block prior plus A' diag(weights) A for per-row weights."""
-        theta = self._check_theta(theta)
-        data = self._z_data(theta, inference=True)
-        np.add.at(data, self._pair_pos, weights[self._pair_row] * self._pair_vv)
-        return self._z_template.with_data(data)
+        q = self._z_matrix(self._check_theta(theta), inference=True)
+        pair_w = weights[self._pair_row] * self._pair_vv
+        np.add.at(q.reshape(-1), self._pair_pos, pair_w[self._pair_take])
+        return q
 
     def design_quad_diag(self, sigma_z):
         """Per-row a_i' S a_i for a dense block-space matrix S."""
@@ -1028,18 +1014,25 @@ class CompiledModel:
         return out
 
 
-def _add_stamps(data, stamps, theta, inference):
-    """Add each block's scaled prior entries to the pattern data, in place."""
+def _add_stamps(q, stamps, theta, inference):
+    """Add each block's scaled prior entries to the dense matrix q, in place."""
+    flat = q.reshape(-1)
     for blk, sl, entries in stamps:
         for (pos, base, infer_only), scale in zip(entries, blk.prior_scales(theta[sl])):
             if inference or not infer_only:
-                data[pos] += scale * base
-    return data
+                flat[pos] += scale * base
+    return q
 
 
-def _lower_codes(rows, cols, n):
-    """Column-major codes of the lower-triangle entries of an n x n matrix."""
-    return np.minimum(rows, cols) * max(n, 1) + np.maximum(rows, cols)
+def _mirrored(rows, cols, n):
+    """Flat positions of symmetric entries (r, c) in an n x n array.
+
+    Each entry sits at r * n + c and, off the diagonal, also at c * n + r.
+    Returns (take, positions): position k holds entry take[k].
+    """
+    off = np.flatnonzero(rows != cols)
+    take = np.concatenate([np.arange(rows.size), off])
+    return take, np.concatenate([rows * n + cols, cols[off] * n + rows[off]])
 
 
 def _gammaln_vec(x):

@@ -21,7 +21,7 @@ from lgmsplit.model import (DataTable, FixedPrecision, Iid, Intercept,
                             build_model)
 from lgmsplit.nodesplit import (GroupSplit, bh_fdr, between_group_run,
                                 chisq_tail, conflict_pvalues, discrepancy)
-from lgmsplit.sparse import SparseSymmetric, factorize
+from lgmsplit.sparse import factorize
 from conftest import RATS_REFERENCE_P, small_hierarchy
 
 
@@ -255,8 +255,7 @@ class TestCriterion8NumericalKernels:
             dense[i, j] += v
             dense[j, i] += v
         dense += np.eye(n) * (np.abs(dense).sum(axis=1) + 1.0)
-        q = SparseSymmetric.from_dense(dense)
-        f = factorize(q)
+        f = factorize(dense)
         sign, logdet = np.linalg.slogdet(dense)
         b = rng.normal(size=n)
         errs = [abs(f.log_det - logdet),

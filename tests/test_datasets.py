@@ -6,10 +6,22 @@ import pytest
 
 from lgmsplit.datasets import (LatticeParams, data_to_csv, generate_lattice,
                                graph_to_text, load_rats, rats_file_paths,
-                               square_lattice_graph, _sample_icar)
+                               square_lattice_graph, write_lattice_files,
+                               _sample_icar)
 from lgmsplit.model import ModelError, build_model
 
 RATS_CSV_SHA256 = "a7c5b5ff963d5c9fcf61eafa4120254fd7f30147f6d43ff8efe20df8609838d5"
+
+# sha256 of the (csv, model, graph) files that write_lattice_files writes for
+# (side, periods, seed); (4, 3, 1) is the lattice-cut benchmark input
+LATTICE_SHA256 = {
+    (4, 3, 1): ("61a84eabeb6a64f4dcc6d126857299039f0b9c3b3c7843d60bec10a65c8bff9a",
+                "8c2138e14b0f052a1a8ef55dbff32d42001cf7af2dc5336bf3552f8325ed7641",
+                "c3f64e9612f56a46506eae9cbcbaef9696e6d4a120231dc7ea60a946a9533756"),
+    (8, 3, 2): ("8a9b05e7f151eea6cc5e420bd64b651b996b3b653926c2a370071bcc79d81028",
+                "8c2138e14b0f052a1a8ef55dbff32d42001cf7af2dc5336bf3552f8325ed7641",
+                "a7cecea0d18857cc138f4da1a761a5edb46d5c167e5147dc5d9043edfff76ba1"),
+}
 
 
 class TestRats:
@@ -58,6 +70,15 @@ class TestLattice:
         assert graph_to_text(a[2]) == graph_to_text(b[2])
         c = generate_lattice(5, 2, seed=43)
         assert data_to_csv(c[0]) != data_to_csv(a[0])
+
+    @pytest.mark.parametrize("args", sorted(LATTICE_SHA256),
+                             ids=lambda args: "x".join(map(str, args)))
+    def test_written_files_are_pinned(self, tmp_path, args):
+        digests = []
+        for path in write_lattice_files(str(tmp_path), *args):
+            with open(path, "rb") as fh:
+                digests.append(hashlib.sha256(fh.read()).hexdigest())
+        assert tuple(digests) == LATTICE_SHA256[args]
 
     def test_smooth_field_sums_to_zero(self):
         graph = square_lattice_graph(6)

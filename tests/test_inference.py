@@ -129,13 +129,13 @@ class TestGaussianApproximation:
 
         def objective(eta_v, z_v):
             r = eta_v - a @ z_v
-            return (-0.5 * (KAPPA * float(r @ r) + z_prior.quad_form(z_v))
+            return (-0.5 * (KAPPA * float(r @ r) + float(z_v @ z_prior @ z_v))
                     + m.log_likelihood(eta_v, th))
 
         r = eta - a @ z
         g_lik, _ = m.likelihood_grad_curv(eta, th)
         grad_eta = -KAPPA * r + g_lik
-        grad_z = -z_prior.matvec(z) + KAPPA * (a.T @ r)
+        grad_z = -(z_prior @ z) + KAPPA * (a.T @ r)
         h = 1e-6
         for i in range(m.n_rows):
             e = np.zeros(m.n_rows)

@@ -37,6 +37,14 @@ class TestDataTable:
         dt = DataTable({"g": [1.0, 2.0, 1.0]})
         assert dt.labels("g") == ["1", "2", "1"]
 
+    @pytest.mark.parametrize("col", [
+        ["01", " 2 ", "3.0", "2.5", "a", "1", "a", "01", "-0", "0", " a"],
+        [3.0, 2.5, 1.0, 3.0, -0.0, 0.0, 1e20, 2.5, -7.0],
+    ])
+    def test_labels_match_per_row_canonicalization(self, col):
+        dt = DataTable({"g": col})
+        assert dt.labels("g") == [canonical_label(v) for v in dt.columns["g"]]
+
     def test_numeric_rejects_missing_by_default(self):
         dt = DataTable({"x": [1.0, np.nan]})
         with pytest.raises(ModelError):
@@ -113,7 +121,7 @@ class TestBuildModel:
         spec = ModelSpec(LikelihoodFamily("gaussian", prec_prior=FixedPrecision(1.0)),
                          "y", [Besag("r", g, prior=FixedPrecision(4.0))], data)
         m = build_model(spec)
-        block = m.z_prior(np.zeros(0), inference=False).to_dense()
+        block = m.z_prior(np.zeros(0), inference=False)
         assert np.allclose(block, 4.0 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert m.n_constraints == 1
         assert np.allclose(m.z_constraints[0], 1.0)
@@ -125,7 +133,7 @@ class TestBuildModel:
         spec = ModelSpec(LikelihoodFamily("gaussian", prec_prior=FixedPrecision(1.0)),
                          "y", [Besag("r", g, prior=FixedPrecision(2.0))], data)
         m = build_model(spec)
-        block = m.z_prior(np.zeros(0), inference=False).to_dense()
+        block = m.z_prior(np.zeros(0), inference=False)
         assert np.allclose(block.sum(axis=1), 0.0, atol=1e-9)
 
     def test_prior_precision_psd_and_pd_after_constraints(self):
@@ -144,7 +152,7 @@ class TestBuildModel:
                           Besag("r", g, prior=LogGammaPrior(1.0, 0.01))], data)
         m = build_model(spec)
         for theta in ([0.0, 0.0], [1.0, -1.0], [-2.0, 0.5]):
-            q = m.z_prior(np.array(theta), inference=False).to_dense()
+            q = m.z_prior(np.array(theta), inference=False)
             lam = np.linalg.eigvalsh(q)
             scale = np.abs(lam).max()
             assert lam.min() > -1e-9 * scale  # positive semidefinite
@@ -162,10 +170,27 @@ class TestBuildModel:
         m = gaussian_model(blocks=[Intercept(precision=0.2),
                                    Iid("g", prior=LogGammaPrior(1.0, 1.0))])
         for th in ([0.0], [1.2], [-0.7]):
-            q = m.z_prior(np.array(th)).to_dense()
+            q = m.z_prior(np.array(th))
             sign, ld = np.linalg.slogdet(q)
             ld += m.n_rows * math.log(TIE_PRECISION)
             assert abs(m.prior_log_det(np.array(th)) - ld) < 1e-5
+
+    def test_posterior_precision_is_prior_plus_weighted_design(self, rats_model):
+        # the flat-position assembly against dense algebra: symmetric, with
+        # every A'A pair and prior entry summed on both sides of the diagonal
+        from lgmsplit.datasets import generate_lattice
+        mixed = gaussian_model(n=9, seed=3, blocks=[
+            Intercept(precision=0.1), Fixed("z"), Iid("g"),
+            Iid2d("g", "z", prior=Wishart2dPrior(np.eye(2), 4.0))])
+        lattice = build_model(generate_lattice(4, 3, seed=1)[1])
+        rng = np.random.default_rng(2)
+        for m in (rats_model, mixed, lattice):
+            theta = 0.3 * rng.normal(size=m.dim_theta)
+            w = rng.uniform(0.1, 2.0, size=m.n_rows)
+            q = m.z_posterior_precision(theta, w)
+            assert np.array_equal(q, q.T)
+            want = m.z_prior(theta) + m.design.T @ (w[:, None] * m.design)
+            assert np.allclose(q, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_unknown_columns_raise(self):
         data = DataTable({"y": [1.0, 2.0]})
@@ -245,11 +270,9 @@ class TestPickle:
             eta = rng.normal(size=m.latent_dim)
             for view in (True, False):
                 a, b = m.z_prior(theta, inference=view), r.z_prior(theta, inference=view)
-                assert a.data.tobytes() == b.data.tobytes()
-                assert a.indices.tobytes() == b.indices.tobytes()
-                assert a.indptr.tobytes() == b.indptr.tobytes()
-            assert (m.z_posterior_precision(theta, weights).data.tobytes()
-                    == r.z_posterior_precision(theta, weights).data.tobytes())
+                assert a.tobytes() == b.tobytes()
+            assert (m.z_posterior_precision(theta, weights).tobytes()
+                    == r.z_posterior_precision(theta, weights).tobytes())
             for name in ("prior_log_det", "log_prior_theta"):
                 assert repr(getattr(m, name)(theta)) == repr(getattr(r, name)(theta))
             assert repr(m.log_likelihood(eta, theta)) == repr(r.log_likelihood(eta, theta))
