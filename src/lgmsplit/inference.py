@@ -2,11 +2,12 @@
 
 The engine follows the classic three-stage scheme: a Gaussian approximation
 of the latent field at fixed hyperparameters (Newton iteration matching mode
-and curvature), a Laplace-style log posterior over the hyperparameters, and
+and curvature), a Laplace log posterior over the hyperparameters, and
 numerical integration over an adaptively explored grid in standardized
 hyperparameter coordinates.  Each hyperparameter point is evaluated once:
-the grid keeps the Gaussian approximation of every accepted point, and the
-latent and linear-combination summaries mix those stored approximations.
+the Laplace term reads the objective and log determinant that the
+approximation kept, the grid keeps the approximation of every accepted
+point, and the latent and linear-combination summaries mix those.
 
 Internally the predictor coordinates are eliminated in closed form through
 the tying noise (a Schur complement in the block coordinates), so the
@@ -26,8 +27,6 @@ import scipy.optimize
 
 from .model import GaussianThetaPrior, ModelError, TIE_PRECISION
 from .sparse import NotPositiveDefinite, factorize
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 GRID_STEP = 1.0             # step in standardized hyperparameter coordinates
 LOG_DROP = 4.0              # keep grid points within this log-density drop
@@ -54,23 +53,28 @@ class GaussianApprox:
 
     mode holds the full latent vector (predictor coordinates first); the
     factorization lives in the block space after exact elimination of the
-    predictor tie.
+    predictor tie.  objective is the log prior quadratic plus the log
+    likelihood at the mode; log_det is that of the full-field posterior
+    precision on the constraint space: the tie, the block factor and
+    log det(C Q^-1 C') of the constraints C.
     """
 
-    def __init__(self, model, theta, eta, z, resid, curv, factor_z, n_iter, grad_norm):
+    def __init__(self, model, theta, eta, z, resid, curv, factor_z, constraint,
+                 objective, n_iter, grad_norm):
         self.theta = theta
         self.eta = eta
         self.z = z
         self.resid = resid            # eta - A z at the mode
         self.curv = curv              # likelihood curvature per data row
         self.factor_z = factor_z
+        self.objective = objective
         self.n_iter = n_iter
         self.grad_norm = grad_norm
         self._model = model
-        kap = TIE_PRECISION
-        self.log_det = float(np.sum(np.log(kap + curv)))
-        if factor_z is not None:
-            self.log_det += factor_z.log_det
+        self._constraint = constraint
+        self.log_det = float(np.sum(np.log(TIE_PRECISION + curv))) + factor_z.log_det
+        if constraint is not None:
+            self.log_det += constraint[2]
 
     @property
     def mode(self):
@@ -83,25 +87,11 @@ class GaussianApprox:
             return np.zeros((0, 0))
         sig = self.factor_z.solve(np.eye(zdim))
         sig = 0.5 * (sig + sig.T)
-        a_con = self._model.z_constraints
-        if a_con.shape[0]:
-            x, chol, _ = _constraint_solve(self.factor_z, a_con)
-            sig = sig - x @ scipy.linalg.cho_solve(chol, x.T)
+        if self._constraint is not None:
+            x, chol, _ = self._constraint
+            sig = sig - x @ scipy.linalg.cho_solve(chol, x.T, check_finite=False)
             sig = 0.5 * (sig + sig.T)
         return sig
-
-    def constraint_logdet(self):
-        """log det(A Q^-1 A') of the model's constraints under this approximation."""
-        return _constraint_solve(self.factor_z, self._model.z_constraints)[2]
-
-    def log_density_at_mode(self):
-        """Log density of the (constrained) Gaussian at its own mean."""
-        n = self.eta.size + self.z.size
-        k = self._model.n_constraints
-        out = 0.5 * self.log_det - 0.5 * n * LOG_2PI
-        if k:
-            out += 0.5 * k * LOG_2PI + 0.5 * self.constraint_logdet()
-        return out
 
     def marginal_variances(self):
         """Posterior variances of every latent coordinate."""
@@ -184,11 +174,12 @@ def _constraint_solve(factor, a_con):
     """Constraint algebra of A z = 0 under the precision factored in factor.
 
     Returns X = Q^-1 A' (k solves), the lower Cholesky factor of A X in the
-    form ``scipy.linalg.cho_solve`` takes, and log det(A X).
+    form ``scipy.linalg.cho_solve`` takes, and log det(A X).  Inputs come
+    from a finite factor, so no scipy call re-checks them.
     """
     x = factor.solve(a_con.T)
     gmat = a_con @ x
-    chol = scipy.linalg.cho_factor(0.5 * (gmat + gmat.T), lower=True)
+    chol = scipy.linalg.cho_factor(0.5 * (gmat + gmat.T), lower=True, check_finite=False)
     return x, chol, float(2.0 * np.sum(np.log(np.diag(chol[0]))))
 
 
@@ -223,7 +214,6 @@ def gaussian_approximation(model, theta, start=None):
         return val
 
     obj = objective(eta, z, resid)
-    factor = None
     grad_norm = math.inf
     converged = False
     it = 0
@@ -231,13 +221,13 @@ def gaussian_approximation(model, theta, start=None):
         g, c = model.likelihood_grad_curv(eta, theta)
         b_eta = c * eta + g
         weights = kap * c / (kap + c)
-        qz = model.z_posterior_precision(theta, weights)
-        factor = factorize(qz)
+        factor = factorize(model.z_posterior_precision(z_prior, weights))
+        constraint = _constraint_solve(factor, a_con) if k_con else None
         rhs = a.T @ ((kap / (kap + c)) * b_eta)
         z_new = factor.solve(rhs)
-        if k_con:
-            x, chol, _ = _constraint_solve(factor, a_con)
-            z_new = z_new - x @ scipy.linalg.cho_solve(chol, a_con @ z_new)
+        if constraint is not None:
+            x, chol, _ = constraint
+            z_new = z_new - x @ scipy.linalg.cho_solve(chol, a_con @ z_new, check_finite=False)
         az = a @ z_new
         eta_new = (b_eta + kap * az) / (kap + c)
         r_new = (b_eta - c * az) / (kap + c)
@@ -277,38 +267,24 @@ def gaussian_approximation(model, theta, start=None):
     g, c_final = model.likelihood_grad_curv(eta, theta)
     if not np.array_equal(c_final, c):
         weights = kap * c_final / (kap + c_final)
-        qz = model.z_posterior_precision(theta, weights)
-        factor = factorize(qz)
-    return GaussianApprox(model, theta, eta, z, resid, c_final, factor, it, grad_norm)
+        factor = factorize(model.z_posterior_precision(z_prior, weights))
+        constraint = _constraint_solve(factor, a_con) if k_con else None
+    return GaussianApprox(model, theta, eta, z, resid, c_final, factor, constraint, obj,
+                          it, grad_norm)
 
 
 def log_posterior_theta(model, theta, approx=None):
     """Unnormalized log posterior of the internal hyperparameters.
 
-    Combines the hyperprior, the latent prior and likelihood at the
-    conditional mode, and the Gaussian approximation correction; defined up
-    to one additive constant shared across theta.
+    The Laplace approximation pi(theta) pi(x*, y | theta) / pi_G(x* | theta, y)
+    at the approximation's mode x*, up to one constant shared across theta:
+    the 2 pi terms cancel, leaving log determinants on the constraint space.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if approx is None:
         approx = gaussian_approximation(model, theta)
-    kap = TIE_PRECISION
-    n = model.latent_dim
-    k_con = model.n_constraints
-
-    lp = model.log_prior_theta(theta)
-    z_prior = model.z_prior(theta)
-    prior_quad = kap * float(approx.resid @ approx.resid) + float(approx.z @ z_prior @ approx.z)
-    prior_term = (0.5 * model.prior_log_det(theta) - 0.5 * prior_quad - 0.5 * n * LOG_2PI)
-    if k_con:
-        a_con = model.z_constraints
-        prior_factor = factorize(z_prior)
-        _, chol, con_logdet = _constraint_solve(prior_factor, a_con)
-        r = a_con @ approx.z
-        quad = float(r @ scipy.linalg.cho_solve(chol, r))
-        prior_term -= (-0.5 * k_con * LOG_2PI - 0.5 * con_logdet - 0.5 * quad)
-    loglik = model.log_likelihood(approx.eta, theta)
-    return lp + prior_term + loglik - approx.log_density_at_mode()
+    return (model.log_prior_theta(theta)
+            + 0.5 * (model.prior_log_det(theta) - approx.log_det) + approx.objective)
 
 
 def _central_grad(f, x, h):

@@ -11,8 +11,9 @@ the full field remains the layout in which results are reported.
 
 Each effect block owns its prior: it lists its prior precision entries in
 block coordinates, scales them at its own slice of the hyperparameter
-vector, and gives its log determinant and linear constraints.  A prior of
-the wrong type for its block is rejected when the model is compiled.
+vector, and gives its linear constraints and, in closed form, its log
+determinant on their null space.  A prior of the wrong type for its block
+is rejected when the model is compiled.
 
 Compiled models are immutable plain data (arrays, the spec objects and
 theta slices, no function objects), so they pickle; masking responses or
@@ -423,22 +424,22 @@ class _Block:
     """An additive effect block that owns its prior, of a type in prior_types.
 
     prior_entries() lists the prior precision in block coordinates, each
-    entry (rows, cols, base values, inference only); prior_scales(theta)
-    gives one multiplier per entry at the block's theta slice.  The default
-    is a diagonal with one scalar precision; subclasses override the rest.
+    entry (rows, cols, base values); prior_scales(theta) gives one
+    multiplier per entry at the block's theta slice.  The default is a
+    diagonal with one scalar precision; subclasses override the rest.
     """
 
     prior_types = (LogGammaPrior, FixedPrecision)
 
     def prior_entries(self):
         idx = np.arange(self.size)
-        return [(idx, idx, np.ones(self.size), False)]
+        return [(idx, idx, np.ones(self.size))]
 
     def prior_scales(self, theta):
         return (self.prior.precision(theta),)
 
     def log_det(self, theta):
-        """log det of the block prior precision (inference view)."""
+        """log det of the block prior precision on its constraint space."""
         return self.size * math.log(self.prior.precision(theta))
 
     def constraint_rows(self):
@@ -553,8 +554,7 @@ class Iid2d(_Block):
     def prior_entries(self):
         even = 2 * np.arange(self.size // 2)
         ones = np.ones(even.size)
-        return [(even, even, ones, False), (even + 1, even + 1, ones, False),
-                (even + 1, even, ones, False)]
+        return [(even, even, ones), (even + 1, even + 1, ones), (even + 1, even, ones)]
 
     def prior_scales(self, theta):
         return self.prior.precision(theta)
@@ -584,12 +584,17 @@ class Besag(_Block):
         self.row_level = np.array([self.graph.index[l] for l in labels], dtype=np.int64)
         self.size = self.graph.n_nodes
         self._structure = self.structure_coo()
-        # structure determinant with the inference jitter, fixed over theta
+        # log det of K = R + jitter I on the sum-to-zero space, fixed over
+        # theta: log det K + log det(C K^-1 C') for the component indicators
+        # C.  K maps each indicator to jitter times itself, so C K^-1 C' is
+        # diag(component sizes) / jitter.
         kr, kc, kv = self._structure
         kdense = np.zeros((self.size, self.size))
         kdense[kr, kc] = kv
         kdense = kdense + np.tril(kdense, -1).T + BESAG_JITTER * np.eye(self.size)
-        self._structure_log_det = float(np.linalg.slogdet(kdense)[1])
+        sizes = np.bincount(self.graph.components)
+        self._structure_log_det = float(np.linalg.slogdet(kdense)[1]
+                                        + np.sum(np.log(sizes / BESAG_JITTER)))
 
     def design(self, data):
         n = data.n_rows
@@ -615,15 +620,16 @@ class Besag(_Block):
 
     def prior_entries(self):
         idx = np.arange(self.size)
-        return [(*self._structure, False),
-                (idx, idx, np.full(self.size, BESAG_JITTER), True)]
+        return [self._structure, (idx, idx, np.full(self.size, BESAG_JITTER))]
 
     def prior_scales(self, theta):
         tau = self.prior.precision(theta)
         return (tau, tau)
 
     def log_det(self, theta):
-        return super().log_det(theta) + self._structure_log_det
+        """(size - components) * log tau + const, on the sum-to-zero space."""
+        rank = self.size - self.graph.n_components
+        return rank * math.log(self.prior.precision(theta)) + self._structure_log_det
 
     def constraint_rows(self):
         comp = self.graph.components
@@ -805,22 +811,21 @@ class CompiledModel:
         pr_cj = np.minimum(ca, cb).ravel()
         pr_vv = (dvals[order[:, ia]] * dvals[order[:, ib]]).ravel()
 
-        # per block: (flat positions, base values, inference only) per entry,
-        # where the dense z precision holds each prior entry and A'A pair
-        # (r, c) at r * zdim + c and, off the diagonal, also at c * zdim + r;
-        # blocks without hyperparameters are added once, to both views and
-        # to the log determinant
+        # per block: (flat positions, base values) per entry, where the
+        # dense z precision holds each prior entry and A'A pair (r, c) at
+        # r * zdim + c and, off the diagonal, also at c * zdim + r; blocks
+        # without hyperparameters are added once, to the matrix and to the
+        # log determinant
         stamps = []
         for blk, sl, off in zip(self.spec.blocks, self._block_slices, z_offsets):
             entries = []
-            for rows, cols, base, infer_only in blk.prior_entries():
+            for rows, cols, base in blk.prior_entries():
                 take, pos = _mirrored(rows + off, cols + off, zdim)
-                entries.append((pos, np.asarray(base, dtype=float)[take], infer_only))
+                entries.append((pos, np.asarray(base, dtype=float)[take]))
             stamps.append((blk, sl, entries))
         fixed = [st for st in stamps if st[1].start == st[1].stop]
         self._theta_blocks = [st for st in stamps if st[1].start < st[1].stop]
-        self._z_const = {view: _add_stamps(np.zeros((zdim, zdim)), fixed, np.zeros(0), view)
-                         for view in (False, True)}
+        self._z_const = _add_stamps(np.zeros((zdim, zdim)), fixed, np.zeros(0))
         self._log_det_const = n * math.log(TIE_PRECISION)
         for blk, _, _ in fixed:
             self._log_det_const += blk.log_det(np.zeros(0))
@@ -888,8 +893,9 @@ class CompiledModel:
         return theta
 
     def prior_log_det(self, theta):
-        """log det of the (jittered) tied joint prior precision, in closed form:
-        n_rows * log(kappa) plus the log determinant of ``z_prior``."""
+        """log det of the tied joint prior precision on the constraint space:
+        n_rows * log(kappa) + log det ``z_prior`` + log det(C z_prior^-1 C'),
+        summed block by block in closed form (each constraint is in one block)."""
         theta = self._check_theta(theta)
         out = self._log_det_const
         for blk, sl, _ in self._theta_blocks:
@@ -907,23 +913,18 @@ class CompiledModel:
         """
         return np.arange(self.z_dim)
 
-    def _z_matrix(self, theta, inference):
-        return _add_stamps(self._z_const[bool(inference)].copy(), self._theta_blocks, theta,
-                           inference)
-
-    def z_prior(self, theta, inference=True):
+    def z_prior(self, theta):
         """Block-coordinate prior precision, a dense symmetric array (the
         tied joint has determinant kappa^n_rows times this one's).
 
-        With inference=False it is exactly the specified prior: improper
-        blocks keep their zero row sums.  The inference view adds a tiny
-        relative jitter to keep factorizations well posed.
+        Improper blocks carry a tiny relative jitter (Besag: tau *
+        BESAG_JITTER on the diagonal) to keep factorizations well posed.
         """
-        return self._z_matrix(self._check_theta(theta), inference)
+        return _add_stamps(self._z_const.copy(), self._theta_blocks, self._check_theta(theta))
 
-    def z_posterior_precision(self, theta, weights):
-        """Block prior plus A' diag(weights) A for per-row weights."""
-        q = self._z_matrix(self._check_theta(theta), inference=True)
+    def z_posterior_precision(self, z_prior, weights):
+        """A copy of the block prior precision z_prior plus A' diag(weights) A."""
+        q = z_prior.copy()
         pair_w = weights[self._pair_row] * self._pair_vv
         np.add.at(q.reshape(-1), self._pair_pos, pair_w[self._pair_take])
         return q
@@ -1014,13 +1015,12 @@ class CompiledModel:
         return out
 
 
-def _add_stamps(q, stamps, theta, inference):
+def _add_stamps(q, stamps, theta):
     """Add each block's scaled prior entries to the dense matrix q, in place."""
     flat = q.reshape(-1)
     for blk, sl, entries in stamps:
-        for (pos, base, infer_only), scale in zip(entries, blk.prior_scales(theta[sl])):
-            if inference or not infer_only:
-                flat[pos] += scale * base
+        for (pos, base), scale in zip(entries, blk.prior_scales(theta[sl])):
+            flat[pos] += scale * base
     return q
 
 

@@ -6,6 +6,7 @@ import pytest
 from lgmsplit import (DataTable, FixedPrecision, Iid, Intercept,
                       LikelihoodFamily, LogGammaPrior, ModelSpec, build_model,
                       conflict_pvalues, load_rats)
+from lgmsplit.model import AdjacencyGraph, Besag
 
 # Golden conflict p-values for the bundled rat growth data, animals 1..30
 # in order; the split must reproduce these within the acceptance tolerance.
@@ -37,6 +38,28 @@ def small_hierarchy(seed=7, j_groups=4, n_per=5, shift=None, shift_group=0,
         blocks = [Intercept(precision=0.01), Iid("g", prior=LogGammaPrior(1.0, 0.5))]
     spec = ModelSpec(lik, "y", blocks, data, group="g")
     return build_model(spec)
+
+
+def two_component_besag(seed=3, per_node=2, intercept_precision=0.1):
+    """Gaussian model with an intercept and a Besag effect on a graph with
+    two components, a 4-cycle and a 3-node path, so the Besag block carries
+    two sum-to-zero constraints; both precisions get LogGamma(1, 0.5)
+    hyperpriors.
+
+    Returns the compiled model, the graph, the node index of each row and
+    the response.
+    """
+    rng = np.random.default_rng(seed)
+    neighbors = [[1, 2], [0, 3], [0, 3], [1, 2], [5], [4, 6], [5]]
+    graph = AdjacencyGraph([str(i) for i in range(len(neighbors))], neighbors)
+    node = np.repeat(np.arange(graph.n_nodes), per_node)
+    effect = np.array([0.8, -0.3, 0.1, -0.6, 0.5, 0.0, -0.5])
+    y = 1.0 + effect[node] + 0.5 * rng.normal(size=node.size)
+    data = DataTable({"y": y, "r": [str(i) for i in node]})
+    spec = ModelSpec(LikelihoodFamily("gaussian", prec_prior=LogGammaPrior(1.0, 0.5)), "y",
+                     [Intercept(precision=intercept_precision),
+                      Besag("r", graph, prior=LogGammaPrior(1.0, 0.5))], data)
+    return build_model(spec), graph, node, y
 
 
 @pytest.fixture(scope="session")

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lgmsplit.model import (DataTable, FixedPrecision, GaussianThetaPrior,
-                            Iid, Intercept, LikelihoodFamily, LogGammaPrior,
-                            ModelError, ModelSpec, build_model)
+from lgmsplit.model import (BESAG_JITTER, CompiledModel, DataTable,
+                            FixedPrecision, GaussianThetaPrior, Iid, Intercept,
+                            LikelihoodFamily, LogGammaPrior, ModelError,
+                            ModelSpec, build_model)
 import lgmsplit.inference as inference
 from lgmsplit.inference import (InferenceError, explore_hypergrid, fit,
                                 gaussian_approximation, latent_summary,
                                 lincomb_posterior, log_posterior_theta,
                                 posterior_as_prior)
+
+from conftest import two_component_besag
 
 KAPPA = 1e9
 
@@ -203,6 +206,59 @@ class TestLogPosteriorTheta:
         refs = [analytic_log_posterior(t, y, v0, a, b) for t in ts]
         assert (vals[2] - vals[0]) == pytest.approx(refs[2] - refs[0], abs=1e-6)
         assert (vals[1] - vals[0]) == pytest.approx(refs[1] - refs[0], abs=1e-6)
+
+    def test_constrained_matches_exact_marginal_up_to_constant(self):
+        # intercept plus a Besag effect on a graph with two components (two
+        # sum-to-zero constraints).  The gaussian Laplace evaluation is exact,
+        # so it must track the constrained marginal likelihood built by dense
+        # algebra: the jittered prior, conditioned on C u = 0, plus tie noise.
+        p0 = 0.1
+        m, graph, node, y = two_component_besag(intercept_precision=p0)
+        k = graph.n_nodes
+        r = np.diag(graph.degrees.astype(float))
+        for i, nb in enumerate(graph.neighbors):
+            r[i, nb] = -1.0
+        c = (graph.components == np.arange(graph.n_components)[:, None]).astype(float)
+        a = np.column_stack([np.ones(y.size), np.eye(k)[node]])
+
+        def exact(theta):
+            tau_y, tau_u = np.exp(theta)
+            sig_u = np.linalg.inv(tau_u * (r + BESAG_JITTER * np.eye(k)))
+            sc = sig_u @ c.T
+            sig_u = sig_u - sc @ np.linalg.solve(c @ sc, sc.T)
+            sig = np.zeros((k + 1, k + 1))
+            sig[0, 0] = 1.0 / p0
+            sig[1:, 1:] = sig_u
+            cov = a @ sig @ a.T + (1.0 / KAPPA + 1.0 / tau_y) * np.eye(y.size)
+            _, logdet = np.linalg.slogdet(cov)
+            log_marginal = -0.5 * (y.size * math.log(2 * math.pi) + logdet
+                                   + float(y @ np.linalg.solve(cov, y)))
+            # LogGamma(1, 0.5) on both precisions, on the log scale
+            log_prior = sum(math.log(0.5) + t - 0.5 * math.exp(t) for t in theta)
+            return log_marginal + log_prior
+
+        thetas = [[0.0, 0.0], [1.0, -1.0], [-0.5, 1.5], [1.5, 2.0], [0.5, -2.0]]
+        diffs = [log_posterior_theta(m, np.array(t)) - exact(t) for t in thetas]
+        assert max(diffs) - min(diffs) < 1e-6
+
+    def test_reads_the_approximation_without_assembly(self, monkeypatch):
+        # the Laplace terms come from the Gaussian approximation: once it
+        # exists, no precision is assembled or factored and the likelihood
+        # is not evaluated again
+        from lgmsplit.datasets import generate_lattice
+        m = build_model(generate_lattice(4, 3, seed=1)[1])
+        theta = np.array([0.4, -0.2])
+        approx = gaussian_approximation(m, theta)
+        want = log_posterior_theta(m, theta, approx)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called after the approximation")
+
+        monkeypatch.setattr(inference, "factorize", forbidden)
+        monkeypatch.setattr(CompiledModel, "z_prior", forbidden)
+        monkeypatch.setattr(CompiledModel, "z_posterior_precision", forbidden)
+        monkeypatch.setattr(CompiledModel, "log_likelihood", forbidden)
+        assert log_posterior_theta(m, theta, approx) == want
 
     def test_poisson_matches_quadrature(self):
         # exchangeable poisson counts with one latent effect per row; the true

@@ -8,13 +8,15 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgmsplit.model import (AdjacencyGraph, Besag, DataTable, Fixed,
-                            FixedOmega, FixedPrecision, GaussianThetaPrior,
-                            Iid, Iid2d, Intercept, LikelihoodFamily,
-                            LogGammaPrior, ModelError, ModelSpec,
-                            TIE_PRECISION, Wishart2dPrior, build_model,
-                            canonical_label, read_adjacency,
+from lgmsplit.model import (AdjacencyGraph, BESAG_JITTER, Besag, DataTable,
+                            Fixed, FixedOmega, FixedPrecision,
+                            GaussianThetaPrior, Iid, Iid2d, Intercept,
+                            LikelihoodFamily, LogGammaPrior, ModelError,
+                            ModelSpec, TIE_PRECISION, Wishart2dPrior,
+                            build_model, canonical_label, read_adjacency,
                             read_data_csv, read_model_json, wishart2d_internal)
+
+from conftest import two_component_besag
 
 
 def gaussian_model(n=6, seed=0, blocks=None, tau=1.5):
@@ -121,7 +123,7 @@ class TestBuildModel:
         spec = ModelSpec(LikelihoodFamily("gaussian", prec_prior=FixedPrecision(1.0)),
                          "y", [Besag("r", g, prior=FixedPrecision(4.0))], data)
         m = build_model(spec)
-        block = m.z_prior(np.zeros(0), inference=False)
+        block = m.z_prior(np.zeros(0))
         assert np.allclose(block, 4.0 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert m.n_constraints == 1
         assert np.allclose(m.z_constraints[0], 1.0)
@@ -133,8 +135,9 @@ class TestBuildModel:
         spec = ModelSpec(LikelihoodFamily("gaussian", prec_prior=FixedPrecision(1.0)),
                          "y", [Besag("r", g, prior=FixedPrecision(2.0))], data)
         m = build_model(spec)
-        block = m.z_prior(np.zeros(0), inference=False)
-        assert np.allclose(block.sum(axis=1), 0.0, atol=1e-9)
+        # zero but for the jitter, tau * BESAG_JITTER on the diagonal
+        block = m.z_prior(np.zeros(0))
+        assert np.allclose(block.sum(axis=1), 2.0 * BESAG_JITTER, atol=1e-9)
 
     def test_prior_precision_psd_and_pd_after_constraints(self):
         # dense eigenvalue check on a small mixed model.  Eliminating the
@@ -152,7 +155,7 @@ class TestBuildModel:
                           Besag("r", g, prior=LogGammaPrior(1.0, 0.01))], data)
         m = build_model(spec)
         for theta in ([0.0, 0.0], [1.0, -1.0], [-2.0, 0.5]):
-            q = m.z_prior(np.array(theta), inference=False)
+            q = m.z_prior(np.array(theta))
             lam = np.linalg.eigvalsh(q)
             scale = np.abs(lam).max()
             assert lam.min() > -1e-9 * scale  # positive semidefinite
@@ -166,14 +169,22 @@ class TestBuildModel:
             assert lam_c.min() > 0
 
     def test_prior_log_det_matches_dense(self):
-        # the tied joint has log det n_rows * log(kappa) + log det z_prior
+        # the tied joint has log det n_rows * log(kappa) + log det z_prior,
+        # plus log det(C z_prior^-1 C') on the space of the constraints C
         m = gaussian_model(blocks=[Intercept(precision=0.2),
                                    Iid("g", prior=LogGammaPrior(1.0, 1.0))])
-        for th in ([0.0], [1.2], [-0.7]):
-            q = m.z_prior(np.array(th))
-            sign, ld = np.linalg.slogdet(q)
-            ld += m.n_rows * math.log(TIE_PRECISION)
-            assert abs(m.prior_log_det(np.array(th)) - ld) < 1e-5
+        besag = two_component_besag()[0]
+        assert besag.n_constraints == 2
+        for model, thetas in ((m, ([0.0], [1.2], [-0.7])),
+                              (besag, ([0.0, 0.0], [1.0, -1.5], [-0.5, 2.0]))):
+            for th in thetas:
+                q = model.z_prior(np.array(th))
+                sign, ld = np.linalg.slogdet(q)
+                ld += model.n_rows * math.log(TIE_PRECISION)
+                c = model.z_constraints
+                if c.shape[0]:
+                    ld += np.linalg.slogdet(c @ np.linalg.solve(q, c.T))[1]
+                assert abs(model.prior_log_det(np.array(th)) - ld) < 1e-5
 
     def test_posterior_precision_is_prior_plus_weighted_design(self, rats_model):
         # the flat-position assembly against dense algebra: symmetric, with
@@ -187,7 +198,7 @@ class TestBuildModel:
         for m in (rats_model, mixed, lattice):
             theta = 0.3 * rng.normal(size=m.dim_theta)
             w = rng.uniform(0.1, 2.0, size=m.n_rows)
-            q = m.z_posterior_precision(theta, w)
+            q = m.z_posterior_precision(m.z_prior(theta), w)
             assert np.array_equal(q, q.T)
             want = m.z_prior(theta) + m.design.T @ (w[:, None] * m.design)
             assert np.allclose(q, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -268,11 +279,10 @@ class TestPickle:
             theta = 0.3 * rng.normal(size=m.dim_theta) if k else np.zeros(m.dim_theta)
             weights = rng.uniform(0.1, 2.0, size=m.n_rows)
             eta = rng.normal(size=m.latent_dim)
-            for view in (True, False):
-                a, b = m.z_prior(theta, inference=view), r.z_prior(theta, inference=view)
-                assert a.tobytes() == b.tobytes()
-            assert (m.z_posterior_precision(theta, weights).tobytes()
-                    == r.z_posterior_precision(theta, weights).tobytes())
+            a, b = m.z_prior(theta), r.z_prior(theta)
+            assert a.tobytes() == b.tobytes()
+            assert (m.z_posterior_precision(a, weights).tobytes()
+                    == r.z_posterior_precision(b, weights).tobytes())
             for name in ("prior_log_det", "log_prior_theta"):
                 assert repr(getattr(m, name)(theta)) == repr(getattr(r, name)(theta))
             assert repr(m.log_likelihood(eta, theta)) == repr(r.log_likelihood(eta, theta))
