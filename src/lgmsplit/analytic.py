@@ -71,9 +71,6 @@ class AnalyticNormalModel:
         z2 = self.mu_delta(i) ** 2 / self.sigma_tilde2
         return chisq_tail(z2, 1)
 
-    def pit_all(self):
-        return np.array([self.pit(i) for i in range(self.n)])
-
 
 def pit(model, i):
     return model.pit(i)

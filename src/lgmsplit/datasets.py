@@ -16,7 +16,6 @@ import scipy.linalg
 
 from .model import (AdjacencyGraph, DataTable, ModelError, read_data_csv,
                     read_model_json)
-from .sparse import factorize
 
 
 def _data_path(name):
@@ -75,8 +74,10 @@ def _sample_icar(graph, sigma, rng):
     """Draw from the intrinsic CAR with conditional scale sigma, sum-to-zero
     imposed per connected component.
 
-    The precision is factored in minimum-degree order: the order fixes
-    which draw a seed gives, so generated data stay the same across versions.
+    The precision is factored in minimum-degree order, by numpy's Cholesky
+    and scipy's triangular solves rather than the inference factor: the
+    order and these calls fix which draw a seed gives, so generated data
+    stay the same across versions.
     """
     n = graph.n_nodes
     q = np.diag(graph.degrees + 1e-7)
@@ -85,13 +86,14 @@ def _sample_icar(graph, sigma, rng):
     q /= sigma ** 2
     perm = _min_degree_ordering(graph)
     iperm = np.argsort(perm)
-    f = factorize(q[np.ix_(perm, perm)])
+    l = np.linalg.cholesky(q[np.ix_(perm, perm)])
     # L' w = b with b standard normal gives w covariance (P Q P')^-1
-    x = scipy.linalg.solve_triangular(f.l_matrix(), rng.standard_normal(n),
+    x = scipy.linalg.solve_triangular(l, rng.standard_normal(n),
                                       lower=True, trans="T")[iperm]
     for comp in range(graph.n_components):
         a = (graph.components == comp).astype(float)
-        qinv_at = f.solve(a[perm])[iperm]
+        y = scipy.linalg.solve_triangular(l, a[perm], lower=True)
+        qinv_at = scipy.linalg.solve_triangular(l, y, lower=True, trans="T")[iperm]
         x = x - qinv_at * (float(a @ x) / float(a @ qinv_at))
     return x
 

@@ -13,7 +13,10 @@ Internally the predictor coordinates are eliminated in closed form through
 the tying noise (a Schur complement in the block coordinates), so the
 factorized system stays well conditioned regardless of the large tying
 precision; all reported quantities still refer to the full latent field.
-Block-space precisions are dense symmetric arrays, factored as they come.
+Block-space precisions are dense symmetric arrays, factored as they come,
+and the factor itself conditions on the model's linear constraints
+(``sparse.factorize``), so solves, covariances and log determinants read
+here are already on the constraint space.
 """
 
 import logging
@@ -22,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .model import GaussianThetaPrior, ModelError, TIE_PRECISION
@@ -53,14 +55,14 @@ class GaussianApprox:
 
     mode holds the full latent vector (predictor coordinates first); the
     factorization lives in the block space after exact elimination of the
-    predictor tie.  objective is the log prior quadratic plus the log
-    likelihood at the mode; log_det is that of the full-field posterior
-    precision on the constraint space: the tie, the block factor and
-    log det(C Q^-1 C') of the constraints C.
+    predictor tie, conditioned on the model's constraints.  objective is the
+    log prior quadratic plus the log likelihood at the mode; log_det is that
+    of the full-field posterior precision on the constraint space: the tie
+    plus the constrained block factor's.
     """
 
-    def __init__(self, model, theta, eta, z, resid, curv, factor_z, constraint,
-                 objective, n_iter, grad_norm):
+    def __init__(self, model, theta, eta, z, resid, curv, factor_z, objective,
+                 n_iter, grad_norm):
         self.theta = theta
         self.eta = eta
         self.z = z
@@ -71,27 +73,16 @@ class GaussianApprox:
         self.n_iter = n_iter
         self.grad_norm = grad_norm
         self._model = model
-        self._constraint = constraint
         self.log_det = float(np.sum(np.log(TIE_PRECISION + curv))) + factor_z.log_det
-        if constraint is not None:
-            self.log_det += constraint[2]
 
     @property
     def mode(self):
         return np.concatenate([self.eta, self.z])
 
     def sigma_z(self):
-        """Dense block-space posterior covariance, constraint-corrected (not cached)."""
-        zdim = self.z.size
-        if zdim == 0:
-            return np.zeros((0, 0))
-        sig = self.factor_z.solve(np.eye(zdim))
-        sig = 0.5 * (sig + sig.T)
-        if self._constraint is not None:
-            x, chol, _ = self._constraint
-            sig = sig - x @ scipy.linalg.cho_solve(chol, x.T, check_finite=False)
-            sig = 0.5 * (sig + sig.T)
-        return sig
+        """Dense block-space posterior covariance on the constraint space (not cached)."""
+        sig = self.factor_z.solve(np.eye(self.z.size))
+        return 0.5 * (sig + sig.T)
 
     def marginal_variances(self):
         """Posterior variances of every latent coordinate."""
@@ -104,13 +95,13 @@ class GaussianApprox:
             var_eta = var_eta + (kap / denom) ** 2 * quad
         return np.concatenate([var_eta, np.diag(sig)])
 
-    def lincomb(self, l_matrix):
-        """Mean and covariance of L x under the approximation."""
+    def lincomb(self, combos):
+        """Mean and covariance of L x under the approximation, L the rows of combos."""
         kap = TIE_PRECISION
         n = self.eta.size
-        l_eta = l_matrix[:, :n]
-        l_z = l_matrix[:, n:]
-        mean = l_matrix @ self.mode
+        l_eta = combos[:, :n]
+        l_z = combos[:, n:]
+        mean = combos @ self.mode
         sig = self.sigma_z()
         scale = kap / (kap + self.curv)
         g_mat = (l_eta * scale) @ self._model.design + l_z
@@ -170,19 +161,6 @@ class FitResult:
     latent: LatentSummary
 
 
-def _constraint_solve(factor, a_con):
-    """Constraint algebra of A z = 0 under the precision factored in factor.
-
-    Returns X = Q^-1 A' (k solves), the lower Cholesky factor of A X in the
-    form ``scipy.linalg.cho_solve`` takes, and log det(A X).  Inputs come
-    from a finite factor, so no scipy call re-checks them.
-    """
-    x = factor.solve(a_con.T)
-    gmat = a_con @ x
-    chol = scipy.linalg.cho_factor(0.5 * (gmat + gmat.T), lower=True, check_finite=False)
-    return x, chol, float(2.0 * np.sum(np.log(np.diag(chol[0]))))
-
-
 def gaussian_approximation(model, theta, start=None):
     """Newton iteration to the conditional posterior mode of the latent field.
 
@@ -217,17 +195,15 @@ def gaussian_approximation(model, theta, start=None):
     grad_norm = math.inf
     converged = False
     it = 0
+    # gradient and curvature at the current iterate: the convergence check
+    # of one step hands them to the next step and to the final factor
+    g, c = model.likelihood_grad_curv(eta, theta)
     for it in range(1, NEWTON_MAX_ITER + 1):
-        g, c = model.likelihood_grad_curv(eta, theta)
+        c_step = c
         b_eta = c * eta + g
         weights = kap * c / (kap + c)
-        factor = factorize(model.z_posterior_precision(z_prior, weights))
-        constraint = _constraint_solve(factor, a_con) if k_con else None
-        rhs = a.T @ ((kap / (kap + c)) * b_eta)
-        z_new = factor.solve(rhs)
-        if constraint is not None:
-            x, chol, _ = constraint
-            z_new = z_new - x @ scipy.linalg.cho_solve(chol, a_con @ z_new, check_finite=False)
+        factor = factorize(model.z_posterior_precision(z_prior, weights), a_con)
+        z_new = factor.solve(a.T @ ((kap / (kap + c)) * b_eta))
         az = a @ z_new
         eta_new = (b_eta + kap * az) / (kap + c)
         r_new = (b_eta - c * az) / (kap + c)
@@ -246,8 +222,8 @@ def gaussian_approximation(model, theta, start=None):
             halvings += 1
         eta, z, resid, obj = eta_s, z_s, r_s, new_obj
 
-        g2, _ = model.likelihood_grad_curv(eta, theta)
-        grad_eta = -kap * resid + g2
+        g, c = model.likelihood_grad_curv(eta, theta)
+        grad_eta = -kap * resid + g
         grad_z = -(z_prior @ z) + kap * (a.T @ resid)
         if k_con:
             lam = np.linalg.solve(a_con @ a_con.T, a_con @ grad_z)
@@ -264,13 +240,10 @@ def gaussian_approximation(model, theta, start=None):
             {"grad_norm": grad_norm, "theta": theta.copy()})
 
     # curvature at the final mode (matters for poisson after several steps)
-    g, c_final = model.likelihood_grad_curv(eta, theta)
-    if not np.array_equal(c_final, c):
-        weights = kap * c_final / (kap + c_final)
-        factor = factorize(model.z_posterior_precision(z_prior, weights))
-        constraint = _constraint_solve(factor, a_con) if k_con else None
-    return GaussianApprox(model, theta, eta, z, resid, c_final, factor, constraint, obj,
-                          it, grad_norm)
+    if not np.array_equal(c, c_step):
+        weights = kap * c / (kap + c)
+        factor = factorize(model.z_posterior_precision(z_prior, weights), a_con)
+    return GaussianApprox(model, theta, eta, z, resid, c, factor, obj, it, grad_norm)
 
 
 def log_posterior_theta(model, theta, approx=None):

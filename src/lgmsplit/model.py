@@ -655,10 +655,6 @@ class LikelihoodFamily:
                 raise ModelError("poisson likelihood has no precision parameter")
             self.prec_prior = None
 
-    @property
-    def link(self):
-        return "identity" if self.kind == "gaussian" else "log"
-
     def validate_response(self, y):
         obs = ~np.isnan(y)
         if self.kind == "poisson":

@@ -59,10 +59,6 @@ class GroupSplit:
         return cls(labels=labels,
                    rows=[np.array(rows[lab], dtype=np.int64) for lab in labels])
 
-    @property
-    def n_groups(self):
-        return len(self.labels)
-
 
 @dataclass
 class DiscrepancyResult:

@@ -9,6 +9,8 @@ imported, never edited.
 import os
 import sys
 
+import pytest
+
 import lgmsplit.inference as inference
 import lgmsplit.model as model_mod
 import lgmsplit.nodesplit as nodesplit
@@ -22,6 +24,7 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, BENCH)
 import child  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 SPAN_NAMES = {"sparse.factorize", "sparse.solve", "model.assemble",
               "inference.gaussian_approximation", "inference.sigma_z",
@@ -69,3 +72,14 @@ def test_traced_cut_records_every_layer_and_restores_the_library():
                for (owner, attr), orig in zip(REBOUND, originals))
     assert span_names(tracer) == SPAN_NAMES
     assert traced == plain
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_one_operation_passes_the_output_check(workload, tmp_path):
+    # the benchmark's own set-up path and reference check, once per workload
+    reference = workloads.load_reference(workload)
+    paths = workloads.write_inputs(workload, str(tmp_path))
+    model = child.setup_model(*paths, None)
+    text = workloads.run_operation(workload, model)
+    attempted, failed, max_dev, n_na = workloads.check_output(workload, text, reference)
+    assert (attempted, failed, n_na) == (len(reference), 0, 0)

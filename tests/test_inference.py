@@ -96,6 +96,23 @@ class TestGaussianApproximation:
             gaussian_approximation(m, np.zeros(0))
         assert "grad_norm" in exc.value.diagnostics
 
+    def test_one_likelihood_derivative_per_newton_iterate(self, monkeypatch):
+        # the convergence check's gradient and curvature serve the next
+        # Newton step and the final factor
+        from lgmsplit.datasets import generate_lattice
+        m = build_model(generate_lattice(4, 3, seed=1)[1])
+        calls = []
+        derivs = CompiledModel.likelihood_grad_curv
+
+        def counted(self, eta, theta):
+            calls.append(1)
+            return derivs(self, eta, theta)
+
+        monkeypatch.setattr(CompiledModel, "likelihood_grad_curv", counted)
+        thetas = np.column_stack([np.linspace(-1.0, 1.0, 10), np.linspace(1.0, -0.5, 10)])
+        approx = [gaussian_approximation(m, t) for t in thetas]
+        assert len(calls) == sum(a.n_iter + 1 for a in approx)
+
     def test_likelihood_gradient_matches_finite_differences(self):
         # gaussian and poisson gradients/curvatures against central differences
         rng = np.random.default_rng(5)

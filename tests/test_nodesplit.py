@@ -199,7 +199,7 @@ class TestGroupSplit:
     def test_partition(self):
         m = small_hierarchy()
         split = GroupSplit.from_model(m, "g")
-        assert split.n_groups == 4
+        assert len(split.labels) == 4
         all_rows = np.concatenate(split.rows)
         assert sorted(all_rows.tolist()) == list(range(m.n_rows))
 
