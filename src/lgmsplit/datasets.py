@@ -80,10 +80,7 @@ def _sample_icar(graph, sigma, rng):
     stay the same across versions.
     """
     n = graph.n_nodes
-    q = np.diag(graph.degrees + 1e-7)
-    for i, nb in enumerate(graph.neighbors):
-        q[i, nb] = -1.0
-    q /= sigma ** 2
+    q = (graph.structure() + 1e-7 * np.eye(n)) / sigma ** 2
     perm = _min_degree_ordering(graph)
     iperm = np.argsort(perm)
     l = np.linalg.cholesky(q[np.ix_(perm, perm)])

@@ -89,10 +89,9 @@ class GaussianApprox:
         kap = TIE_PRECISION
         sig = self.sigma_z()
         denom = kap + self.curv
-        var_eta = 1.0 / denom
-        if self.z.size:
-            quad = self._model.design_quad_diag(sig)
-            var_eta = var_eta + (kap / denom) ** 2 * quad
+        a = self._model.design
+        quad = ((a @ sig) * a).sum(axis=1)          # a_i' sig a_i per row
+        var_eta = 1.0 / denom + (kap / denom) ** 2 * quad
         return np.concatenate([var_eta, np.diag(sig)])
 
     def lincomb(self, combos):
@@ -353,23 +352,21 @@ def hyper_mode(model, theta_init=None):
 def explore_hypergrid(model, theta_init=None):
     """Locate the hyperparameter mode and integrate over a standardized grid.
 
-    Full axis-aligned lattice (breadth-first within the log-drop threshold)
-    up to dimension 4; beyond that, axis walks plus hypercube corners.
-    A failed evaluation counts as log density -1e12 and is counted in
-    n_failed, except at the mode, where it raises InferenceError.  The
-    Gaussian approximation of every accepted point is kept on the grid.
+    One rule at every dimension d <= MAX_THETA_DIM, d = 0 included: the
+    axis-aligned lattice of step GRID_STEP in the coordinates that whiten
+    the Hessian at the mode, explored breadth-first from the mode and kept
+    while the log density is within LOG_DROP of the mode's, at most
+    MAX_AXIS_STEPS steps from it along any axis; the log line counts the
+    accepted points on that step limit.  A failed evaluation counts as log
+    density -1e12 and is counted in n_failed, except at the mode, where it
+    raises InferenceError.  The Gaussian approximation of every accepted
+    point is kept on the grid.
     """
     d = model.dim_theta
     mode, mode_lp, mode_approx, evals = hyper_mode(model, theta_init)
-    if d == 0:
-        return HyperGrid(points=np.zeros((1, 0)), log_post=np.zeros(1),
-                         weights=np.ones(1), mode=mode, mode_log_post=mode_lp,
-                         hessian=np.zeros((0, 0)), transform=np.zeros((0, 0)),
-                         approx=[mode_approx], n_failed=0)
-
     hess = _central_hessian(evals.neg_lp, mode, HESSIAN_STEP)
     lam, vec = np.linalg.eigh(hess)
-    floor = 1e-6 * max(float(np.max(np.abs(lam))), 1e-6)
+    floor = 1e-6 * max(float(np.max(np.abs(lam), initial=0.0)), 1e-6)
     if np.any(lam <= 0):
         warnings.warn("non-positive curvature at the hyperparameter mode; "
                       "flooring eigenvalues", RuntimeWarning)
@@ -379,54 +376,39 @@ def explore_hypergrid(model, theta_init=None):
     def theta_of(z):
         return mode + transform @ (GRID_STEP * np.asarray(z, dtype=float))
 
-    accepted = {}                   # grid coordinates -> (log posterior, approx)
-    if d <= 4:
-        origin = (0,) * d
-        accepted[origin] = (mode_lp, mode_approx)
-        frontier = [origin]
-        evaluated = {origin}
-        while frontier:
-            nxt = []
-            for zc in frontier:
-                for axis in range(d):
-                    for sgn in (-1, 1):
-                        zn = list(zc)
-                        zn[axis] += sgn
-                        zn = tuple(zn)
-                        if zn in evaluated or abs(zn[axis]) > MAX_AXIS_STEPS:
-                            continue
-                        evaluated.add(zn)
-                        val, approx = evals(theta_of(zn))
-                        if mode_lp - val <= LOG_DROP:
-                            accepted[zn] = (val, approx)
-                            nxt.append(zn)
-            frontier = nxt
-            if len(accepted) > MAX_GRID_POINTS:
-                raise InferenceError("hyperparameter grid exceeded the size cap")
-    else:
-        accepted[(0,) * d] = (mode_lp, mode_approx)
-        for axis in range(d):
-            for sgn in (-1, 1):
-                for k in range(1, MAX_AXIS_STEPS + 1):
-                    zc = [0] * d
-                    zc[axis] = sgn * k
-                    val, approx = evals(theta_of(zc))
-                    if mode_lp - val > LOG_DROP:
-                        break
-                    accepted[tuple(zc)] = (val, approx)
-        for corner in range(2 ** d):
-            zc = tuple(1 if (corner >> b) & 1 else -1 for b in range(d))
-            val, approx = evals(theta_of(zc))
-            if mode_lp - val <= LOG_DROP:
-                accepted[zc] = (val, approx)
+    origin = (0,) * d
+    # grid coordinates -> (log posterior, approx)
+    accepted = {origin: (mode_lp, mode_approx)}
+    frontier = [origin]
+    evaluated = {origin}
+    while frontier:
+        nxt = []
+        for zc in frontier:
+            for axis in range(d):
+                for sgn in (-1, 1):
+                    zn = list(zc)
+                    zn[axis] += sgn
+                    zn = tuple(zn)
+                    if zn in evaluated or abs(zn[axis]) > MAX_AXIS_STEPS:
+                        continue
+                    evaluated.add(zn)
+                    val, approx = evals(theta_of(zn))
+                    if mode_lp - val <= LOG_DROP:
+                        accepted[zn] = (val, approx)
+                        nxt.append(zn)
+        frontier = nxt
+        if len(accepted) > MAX_GRID_POINTS:
+            raise InferenceError("hyperparameter grid exceeded the size cap")
 
     keys = sorted(accepted.keys())
     points = np.array([theta_of(zc) for zc in keys])
     rel = np.array([accepted[zc][0] - mode_lp for zc in keys])
     w = np.exp(rel)
     weights = w / w.sum()
-    log.info("grid: %d points, %d failed evaluations, total evaluations %d",
-             len(keys), len(evals.failed), len(evals.cache))
+    at_limit = sum(MAX_AXIS_STEPS in map(abs, zc) for zc in keys)
+    log.info("grid: %d points (%d at the %d-step axis limit), %d failed evaluations, "
+             "total evaluations %d", len(keys), at_limit, MAX_AXIS_STEPS,
+             len(evals.failed), len(evals.cache))
     return HyperGrid(points=points, log_post=rel, weights=weights, mode=mode,
                      mode_log_post=mode_lp, hessian=hess, transform=transform,
                      approx=[accepted[zc][1] for zc in keys], n_failed=len(evals.failed))
@@ -470,7 +452,7 @@ def posterior_as_prior(grid):
     """Moment-matched Gaussian carrier of a hyperparameter posterior grid."""
     d = grid.mode.size
     positive = int(np.sum(grid.weights > 0))
-    if d > 0 and positive < d + 1:
+    if positive < d + 1:
         raise InferenceError(
             f"grid has only {positive} weighted points; need at least {d + 1} "
             "to carry a posterior forward")
@@ -489,7 +471,7 @@ def fit(model):
     """Full pass: hypergrid, hyperparameter moments and latent summaries."""
     grid = explore_hypergrid(model)
     theta_mean, theta_cov = grid.moments()
-    theta_sd = np.sqrt(np.maximum(np.diag(theta_cov), 0.0)) if grid.mode.size else np.zeros(0)
+    theta_sd = np.sqrt(np.maximum(np.diag(theta_cov), 0.0))
     summary = latent_summary(model, grid)
     return FitResult(grid=grid, theta_names=model.theta_names(),
                      theta_mean=theta_mean, theta_sd=theta_sd, latent=summary)

@@ -30,7 +30,7 @@ import numpy as np
 TIE_PRECISION = 1e9
 BESAG_JITTER = 1e-7
 DEFAULT_FIXED_EFFECT_PRECISION = 1e-6
-MAX_THETA_DIM = 20
+MAX_THETA_DIM = 6            # largest d whose theta grid fits inference.MAX_GRID_POINTS
 
 
 class ModelError(ValueError):
@@ -164,6 +164,13 @@ class AdjacencyGraph:
                         f"'{self.labels[j]}' but not vice versa")
         self.degrees = np.array([len(nb) for nb in self.neighbors], dtype=np.int64)
         self.components = self._components()
+
+    def structure(self):
+        """Dense iCAR structure matrix: the degrees on the diagonal, -1 per edge."""
+        r = np.diag(self.degrees.astype(float))
+        rows = np.repeat(np.arange(self.n_nodes), self.degrees)
+        r[rows, np.concatenate(self.neighbors)] = -1.0
+        return r
 
     def _components(self):
         comp = -np.ones(self.n_nodes, dtype=np.int64)
@@ -583,18 +590,17 @@ class Besag(_Block):
                 f"graph: {sorted(set(missing))[:5]}")
         self.row_level = np.array([self.graph.index[l] for l in labels], dtype=np.int64)
         self.size = self.graph.n_nodes
-        self._structure = self.structure_coo()
+        r = self.graph.structure()
+        rows, cols = np.nonzero(np.tril(r))
+        self._structure = (rows, cols, r[rows, cols])
         # log det of K = R + jitter I on the sum-to-zero space, fixed over
         # theta: log det K + log det(C K^-1 C') for the component indicators
         # C.  K maps each indicator to jitter times itself, so C K^-1 C' is
         # diag(component sizes) / jitter.
-        kr, kc, kv = self._structure
-        kdense = np.zeros((self.size, self.size))
-        kdense[kr, kc] = kv
-        kdense = kdense + np.tril(kdense, -1).T + BESAG_JITTER * np.eye(self.size)
         sizes = np.bincount(self.graph.components)
-        self._structure_log_det = float(np.linalg.slogdet(kdense)[1]
-                                        + np.sum(np.log(sizes / BESAG_JITTER)))
+        self._structure_log_det = float(
+            np.linalg.slogdet(r + BESAG_JITTER * np.eye(self.size))[1]
+            + np.sum(np.log(sizes / BESAG_JITTER)))
 
     def design(self, data):
         n = data.n_rows
@@ -602,21 +608,6 @@ class Besag(_Block):
 
     def labels(self):
         return [f"{self.name}[{l}]" for l in self.graph.labels]
-
-    def structure_coo(self):
-        """Lower triangle of the iCAR structure matrix (degrees, -1 neighbors)."""
-        g = self.graph
-        rows = list(range(g.n_nodes))
-        cols = list(range(g.n_nodes))
-        vals = [float(d) for d in g.degrees]
-        for i in range(g.n_nodes):
-            for j in g.neighbors[i]:
-                if j < i:
-                    rows.append(i)
-                    cols.append(int(j))
-                    vals.append(-1.0)
-        return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                np.array(vals))
 
     def prior_entries(self):
         idx = np.arange(self.size)
@@ -791,7 +782,7 @@ class CompiledModel:
         self._a_dense = np.zeros((n, zdim))
         np.add.at(self._a_dense, (drows, zcols), dvals)
 
-        # per-row products of design pairs, for A' diag(w) A and a_i' S a_i:
+        # per-row products of design pairs, for A' diag(w) A:
         # every block gives each row the same number k of entries, so the
         # pairs (a <= b) of a row's entries, in block order, are a reshape
         counts = np.bincount(drows, minlength=n)
@@ -830,7 +821,6 @@ class CompiledModel:
         self._pair_cj = pr_cj
         self._pair_take, self._pair_pos = _mirrored(pr_ci, pr_cj, zdim)
         self._pair_vv = pr_vv
-        self._pair_offdiag = (pr_ci != pr_cj)
 
     # -- public assembly surface -------------------------------------------
 
@@ -924,14 +914,6 @@ class CompiledModel:
         pair_w = weights[self._pair_row] * self._pair_vv
         np.add.at(q.reshape(-1), self._pair_pos, pair_w[self._pair_take])
         return q
-
-    def design_quad_diag(self, sigma_z):
-        """Per-row a_i' S a_i for a dense block-space matrix S."""
-        vals = self._pair_vv * sigma_z[self._pair_ci, self._pair_cj]
-        out = np.zeros(self.n_rows)
-        np.add.at(out, self._pair_row,
-                  vals * np.where(self._pair_offdiag, 2.0, 1.0))
-        return out
 
     # -- likelihood terms ---------------------------------------------------
 

@@ -94,6 +94,20 @@ class TestFitCommand:
         assert out == ""
         assert "growth" in err and "prior" in err
 
+    def test_seven_hyperparameters_exit_2(self, tmp_path):
+        csv_path, json_path = rats_file_paths()
+        with open(json_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["effects"].append({"type": "iid2d", "name": "growth2", "index": "rat",
+                               "slope": "t"})
+        doc["priors"]["growth2"] = doc["priors"]["growth"]
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(["fit", "--data", csv_path,
+                                  "--model", str(tmp_path / "m.json")])
+        assert code == 2
+        assert out == ""
+        assert "7 hyperparameters" in err
+
     def test_rats_fit_emits_four_hyperparameters(self, tmp_path):
         csv_path, json_path = rats_file_paths()
         out = tmp_path / "rats_fit.json"

@@ -1,13 +1,14 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lgmsplit.model import (BESAG_JITTER, CompiledModel, DataTable,
-                            FixedPrecision, GaussianThetaPrior, Iid, Intercept,
-                            LikelihoodFamily, LogGammaPrior, ModelError,
-                            ModelSpec, build_model)
+from lgmsplit.model import (BESAG_JITTER, MAX_THETA_DIM, CompiledModel,
+                            DataTable, FixedPrecision, GaussianThetaPrior, Iid,
+                            Intercept, LikelihoodFamily, LogGammaPrior,
+                            ModelError, ModelSpec, build_model)
 import lgmsplit.inference as inference
 from lgmsplit.inference import (InferenceError, explore_hypergrid, fit,
                                 gaussian_approximation, latent_summary,
@@ -344,6 +345,54 @@ class TestExploreHypergrid:
         sd = np.sqrt(np.diag(cov))
         assert np.max(np.abs(got_mean - mean) / sd) < 0.02
         assert np.max(np.abs(got_cov - cov)) / np.max(np.abs(cov)) < 0.02
+
+    def test_exact_gaussian_grid_moments_five_dimensional(self, monkeypatch):
+        # the same lattice rule integrates a 5-d posterior; the truncation
+        # at the drop threshold shrinks the covariance by a few percent
+        mean = np.array([0.5, -0.3, 1.0, 0.0, -1.2])
+        root = np.random.default_rng(4).normal(size=(5, 5))
+        cov = 0.1 * root @ root.T + 0.3 * np.eye(5)
+        m = self.gaussian_theta_model(mean, cov)
+        monkeypatch.setattr(inference, "LOG_DROP", 6.0)
+        grid = explore_hypergrid(m)
+        got_mean, got_cov = grid.moments()
+        sd = np.sqrt(np.diag(cov))
+        assert np.max(np.abs(got_mean - mean) / sd) < 0.02
+        assert np.max(np.abs(got_cov - cov)) / np.max(np.abs(cov)) < 0.10
+
+    def test_theta_dimension_cap_is_the_largest_grid_that_fits(self):
+        # breadth-first count of the grid on an exact Gaussian log posterior,
+        # -|z|^2 GRID_STEP^2 / 2 in whitened coordinates, stopped past the cap
+        def grid_size(d, cap):
+            origin = (0,) * d
+            accepted = {origin}
+            frontier = [origin]
+            while frontier and len(accepted) <= cap:
+                nxt = []
+                for zc in frontier:
+                    for axis in range(d):
+                        for sgn in (-1, 1):
+                            zn = zc[:axis] + (zc[axis] + sgn,) + zc[axis + 1:]
+                            if (zn not in accepted
+                                    and abs(zn[axis]) <= inference.MAX_AXIS_STEPS
+                                    and 0.5 * inference.GRID_STEP ** 2
+                                    * sum(v * v for v in zn) <= inference.LOG_DROP):
+                                accepted.add(zn)
+                                nxt.append(zn)
+                frontier = nxt
+            return len(accepted)
+
+        cap = inference.MAX_GRID_POINTS
+        assert grid_size(MAX_THETA_DIM, cap) <= cap
+        assert grid_size(MAX_THETA_DIM + 1, cap) > cap
+
+    def test_axis_step_limit_is_logged(self, monkeypatch, caplog):
+        m, *_ = conjugate_sweep_model()
+        monkeypatch.setattr(inference, "MAX_AXIS_STEPS", 1)
+        with caplog.at_level(logging.INFO, logger="lgmsplit"):
+            grid = explore_hypergrid(m)
+        assert grid.n_points == 3
+        assert "grid: 3 points (2 at the 1-step axis limit)" in caplog.text
 
     def test_zero_dimensional_grid(self):
         m = one_obs_model("gaussian")

@@ -254,6 +254,18 @@ class TestBuildModel:
         with pytest.raises(ModelError):
             build_model(ModelSpec(LikelihoodFamily("poisson"), "y", blocks, data))
 
+    def test_seven_hyperparameters_refused(self):
+        # one data precision and two Wishart blocks: 7 > MAX_THETA_DIM, a
+        # dimension whose grid would not fit the grid-size cap
+        wishart = Wishart2dPrior(np.eye(2), 4.0)
+        blocks = [Intercept(), Iid2d("g", "z", prior=wishart, name="a"),
+                  Iid2d("g", "z", prior=wishart, name="b")]
+        data = DataTable({"y": np.ones(6), "g": ["a", "b", "c"] * 2,
+                          "z": np.arange(6.0)})
+        lik = LikelihoodFamily("gaussian", prec_prior=LogGammaPrior(1.0, 1.0))
+        with pytest.raises(ModelError, match="7 hyperparameters"):
+            build_model(ModelSpec(lik, "y", blocks, data))
+
 
 class TestPriorTypes:
     def test_api_spec_checked_at_build(self):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 import lgmsplit.nodesplit as ns
 from lgmsplit.inference import LincombPosterior, explore_hypergrid
-from lgmsplit.model import (DataTable, FixedPrecision, GaussianThetaPrior, Iid,
-                            Intercept, LikelihoodFamily, LogGammaPrior,
-                            ModelError, ModelSpec, build_model)
+from lgmsplit.datasets import load_rats
+from lgmsplit.model import (DataTable, Fixed, FixedPrecision,
+                            GaussianThetaPrior, Iid, Iid2d, Intercept,
+                            LikelihoodFamily, LogGammaPrior, ModelError,
+                            ModelSpec, Wishart2dPrior, build_model)
 from lgmsplit.nodesplit import (GroupSplit, RankZeroError, between_group_run,
                                 bh_fdr, chisq_tail, conflict_pvalues,
                                 discrepancy, parse_result_csv,
@@ -314,6 +316,25 @@ class TestConflictPvalues:
         for o in res.outcomes:
             assert by_label[name_map[o.label]] == pytest.approx(
                 o.result.p_value, abs=1e-12)
+
+    def test_five_hyperparameter_model_runs_every_group(self):
+        # rats 1-3 with a growth curve per rat and an iid effect per age:
+        # data precision, three Wishart slots and the age precision, d = 5
+        data, _ = load_rats()
+        rows = [i for i, r in enumerate(data.labels("rat")) if int(r) <= 3]
+        sub = DataTable({c: np.asarray(v)[rows] for c, v in data.columns.items()})
+        wishart = Wishart2dPrior(np.array([[200.0, 0.0], [0.0, 0.2]]), 2.0)
+        m = build_model(ModelSpec(
+            LikelihoodFamily("gaussian", prec_prior=LogGammaPrior(0.001, 0.001)), "y",
+            [Intercept(precision=1e-6), Fixed("t", precision=1e-6),
+             Iid2d("rat", "t", prior=wishart, name="growth"),
+             Iid("age", prior=LogGammaPrior(1.0, 0.005), name="age")],
+            sub, group="rat"))
+        assert m.dim_theta == 5
+        res = conflict_pvalues(m, "rat")
+        assert res.labels == ["1", "2", "3"]
+        assert res.n_failed == 0
+        assert np.all((res.p_values() > 0) & (res.p_values() <= 1))
 
     def test_null_smoke_no_tiny_pvalues(self):
         m = small_hierarchy(seed=2026, j_groups=10, n_per=6, fixed_theta=False)
