@@ -21,6 +21,7 @@ swapping the hyperparameter prior returns cheap copies sharing the
 assembled structure.
 """
 
+import itertools
 import json
 import math
 import os
@@ -80,26 +81,38 @@ class DataTable:
 
     def labels(self, name):
         """Column values canonicalized to strings (integral floats unpadded)."""
+        levels, codes = self.factor(name)
+        return np.array(levels, dtype=object)[codes].tolist()
+
+    def factor(self, name):
+        """A label column as its distinct canonical labels, in order of first
+        appearance, and each row's index into them.
+
+        Each distinct value is canonicalized once, so values such as "01"
+        and 1.0 that canonicalize alike share a level.
+        """
         if name not in self.columns:
             raise ModelError(f"unknown column '{name}'")
         col = self.columns[name]
-        missing = any(v is None for v in col) if col.dtype == object else np.isnan(col).any()
-        if missing:
+        missing = np.equal(col, None) if col.dtype == object else np.isnan(col)
+        if missing.any():
             raise ModelError(f"column '{name}' contains missing values")
-        # each distinct value is canonicalized once
-        values, inverse = np.unique(col, return_inverse=True)
-        canon = np.array([canonical_label(v) for v in values], dtype=object)
-        return canon[inverse].tolist()
+        values, first, inverse = np.unique(col, return_index=True, return_inverse=True)
+        order = np.argsort(first)            # distinct values by first appearance
+        level_of = {}
+        value_level = np.empty(order.size, dtype=np.int64)
+        value_level[order] = [level_of.setdefault(canonical_label(v), len(level_of))
+                              for v in values[order].tolist()]
+        return list(level_of), value_level[inverse]
 
 
 def canonical_label(value):
     if isinstance(value, str):
-        s = value.strip()
+        value = value.strip()
         try:
-            f = float(s)
+            value = float(value)
         except ValueError:
-            return s
-        return canonical_label(f)
+            return value
     f = float(value)
     if math.isfinite(f) and f == int(f):
         return str(int(f))
@@ -107,73 +120,110 @@ def canonical_label(value):
 
 
 def read_data_csv(path):
-    """CSV with a header row; the missing marker is the literal token NA."""
+    """CSV with a header row of unique names; the missing marker is NA.
+
+    Fields are trimmed and blank lines skipped.  A column is numeric (NaN
+    for NA) when every field but NA parses as a float, else strings (None
+    for NA).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
     if not lines:
         raise ModelError(f"empty data file: {path}")
     header = [h.strip() for h in lines[0].split(",")]
-    raw = {h: [] for h in header}
-    for ln in lines[1:]:
-        parts = [p.strip() for p in ln.split(",")]
-        if len(parts) != len(header):
-            raise ModelError(f"row with {len(parts)} fields, expected {len(header)}: {ln!r}")
-        for h, p in zip(header, parts):
-            raw[h].append(p)
-    columns = {}
-    for h in header:
-        vals = raw[h]
-        numeric = True
-        for v in vals:
-            if v == "NA":
-                continue
-            try:
-                float(v)
-            except ValueError:
-                numeric = False
-                break
-        if numeric:
-            columns[h] = np.array([np.nan if v == "NA" else float(v) for v in vals])
-        else:
-            columns[h] = np.array([None if v == "NA" else v for v in vals], dtype=object)
-    return DataTable(columns)
+    for k, h in enumerate(header):
+        if not h:
+            raise ModelError(f"header column {k + 1} has no name")
+        if h in header[:k]:
+            raise ModelError(f"duplicate column name '{h}' in header")
+    width = len(header)
+    rows = lines[1:]
+    for ln in rows:
+        if ln.count(",") != width - 1:
+            raise ModelError(
+                f"row with {ln.count(',') + 1} fields, expected {width}: {ln!r}")
+    if not rows:
+        raise ModelError("data table needs at least one row")
+    fields = list(map(str.strip, ",".join(rows).split(",")))
+    return DataTable({h: _csv_column(fields[k::width]) for k, h in enumerate(header)})
+
+
+def _csv_column(fields):
+    """One CSV column's fields as floats (NaN for NA), or else as strings."""
+    try:
+        if "NA" in fields:
+            return np.array(["nan" if f == "NA" else f for f in fields], dtype=float)
+        return np.array(fields, dtype=float)
+    except ValueError:
+        col = np.array(fields, dtype=object)
+        col[col == "NA"] = None
+        return col
 
 
 class AdjacencyGraph:
-    """Undirected neighbor structure over labelled nodes."""
+    """Undirected neighbor structure over labelled nodes.
+
+    ``neighbors[i]`` lists node i's neighbours in increasing order and
+    ``adjacency`` is the dense boolean matrix of the edges.
+    """
 
     def __init__(self, labels, neighbors):
-        self.labels = [canonical_label(l) for l in labels]
-        if len(set(self.labels)) != len(self.labels):
+        if len(neighbors) != len(labels):
+            raise ModelError(f"adjacency graph has {len(labels)} nodes but "
+                             f"{len(neighbors)} neighbor lists")
+        rows = np.repeat(np.arange(len(labels)), [len(nb) for nb in neighbors])
+        cols = np.array(list(itertools.chain.from_iterable(neighbors)), dtype=np.int64)
+        self._set_edges([canonical_label(l) for l in labels], rows, cols)
+
+    @classmethod
+    def _from_edges(cls, labels, rows, cols):
+        """A graph from canonical labels and its listed edges (rows[k], cols[k])."""
+        graph = cls.__new__(cls)
+        graph._set_edges(labels, rows, cols)
+        return graph
+
+    def _set_edges(self, labels, rows, cols):
+        if len(set(labels)) != len(labels):
             raise ModelError("duplicate node ids in adjacency graph")
-        self.index = {l: i for i, l in enumerate(self.labels)}
-        self.n_nodes = len(self.labels)
-        self.neighbors = []
-        for i, nb in enumerate(neighbors):
-            idx = sorted(set(int(j) for j in nb))
-            if i in idx:
-                raise ModelError(f"self loop at node '{self.labels[i]}'")
-            self.neighbors.append(np.array(idx, dtype=np.int64))
-        for i in range(self.n_nodes):
-            for j in self.neighbors[i]:
-                if j < 0 or j >= self.n_nodes:
-                    raise ModelError(f"neighbor index {j} out of range")
-                if i not in self.neighbors[j]:
-                    raise ModelError(
-                        f"adjacency not symmetric: '{self.labels[i]}' lists "
-                        f"'{self.labels[j]}' but not vice versa")
-        self.degrees = np.array([len(nb) for nb in self.neighbors], dtype=np.int64)
+        n = len(labels)
+        self.labels = labels
+        self.index = {l: i for i, l in enumerate(labels)}
+        self.n_nodes = n
+        loop = rows == cols
+        if loop.any():
+            raise ModelError(f"self loop at node '{labels[rows[loop.argmax()]]}'")
+        inside = (cols >= 0) & (cols < n)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[rows[inside], cols[inside]] = True
+        if not inside.all() or (adj != adj.T).any():
+            # report the first bad entry, nodes in file order and each
+            # node's neighbours in increasing order
+            bad = ~inside
+            bad[inside] = ~adj[cols[inside], rows[inside]]
+            k = np.flatnonzero(bad)
+            first = k[np.lexsort((cols[k], rows[k]))[0]]
+            i, j = rows[first], cols[first]
+            if not inside[first]:
+                raise ModelError(f"neighbor index {j} out of range")
+            raise ModelError(
+                f"adjacency not symmetric: '{labels[i]}' lists "
+                f"'{labels[j]}' but not vice versa")
+        self.adjacency = adj
+        nb_rows, nb_cols = np.nonzero(adj)
+        self.degrees = np.bincount(nb_rows, minlength=n)
+        ends = np.cumsum(self.degrees).tolist()
+        nb_cols = nb_cols.tolist()
+        self.neighbors = [nb_cols[a:b] for a, b in zip([0] + ends, ends)]
         self.components = self._components()
 
     def structure(self):
         """Dense iCAR structure matrix: the degrees on the diagonal, -1 per edge."""
-        r = np.diag(self.degrees.astype(float))
-        rows = np.repeat(np.arange(self.n_nodes), self.degrees)
-        r[rows, np.concatenate(self.neighbors)] = -1.0
+        r = np.where(self.adjacency, -1.0, 0.0)
+        np.fill_diagonal(r, self.degrees)
         return r
 
     def _components(self):
-        comp = -np.ones(self.n_nodes, dtype=np.int64)
+        comp = [-1] * self.n_nodes
         c = 0
         for start in range(self.n_nodes):
             if comp[start] >= 0:
@@ -181,13 +231,12 @@ class AdjacencyGraph:
             stack = [start]
             comp[start] = c
             while stack:
-                v = stack.pop()
-                for u in self.neighbors[v]:
+                for u in self.neighbors[stack.pop()]:
                     if comp[u] < 0:
                         comp[u] = c
-                        stack.append(int(u))
+                        stack.append(u)
             c += 1
-        return comp
+        return np.array(comp, dtype=np.int64)
 
     @property
     def n_components(self):
@@ -196,26 +245,30 @@ class AdjacencyGraph:
 
 def read_adjacency(path):
     """One line per node: 'node_id: neighbor ids' (whitespace-separated)."""
-    labels = []
-    nbr_tokens = []
+    heads = []
+    tails = []
     with open(path, "r", encoding="utf-8") as fh:
         for ln in fh:
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
-            if ":" not in ln:
+            head, sep, tail = ln.partition(":")
+            if not sep:
                 raise ModelError(f"malformed adjacency line: {ln!r}")
-            head, tail = ln.split(":", 1)
-            labels.append(canonical_label(head))
-            nbr_tokens.append([canonical_label(t) for t in tail.split()])
+            heads.append(head)
+            tails.append(tail.split())
+    # each distinct token is canonicalized once
+    canon = {t: canonical_label(t) for t in set(heads).union(*tails)}
+    labels = [canon[h] for h in heads]
     index = {l: i for i, l in enumerate(labels)}
-    neighbors = []
-    for toks in nbr_tokens:
-        try:
-            neighbors.append([index[t] for t in toks])
-        except KeyError as e:
-            raise ModelError(f"adjacency references unknown node {e.args[0]!r}") from None
-    return AdjacencyGraph(labels, neighbors)
+    node_of = {t: index[l] for t, l in canon.items() if l in index}
+    try:
+        cols = list(map(node_of.__getitem__, itertools.chain.from_iterable(tails)))
+    except KeyError as e:
+        raise ModelError(
+            f"adjacency references unknown node {canon[e.args[0]]!r}") from None
+    rows = np.repeat(np.arange(len(heads)), [len(t) for t in tails])
+    return AdjacencyGraph._from_edges(labels, rows, np.array(cols, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +516,7 @@ class Fixed(_Block):
         self.prior = FixedPrecision(precision)
         self.name = name or covariate
 
-    def resolve(self, data):
+    def resolve(self, data, factor):
         data.numeric(self.covariate)
         self.size = 1
 
@@ -485,7 +538,7 @@ class Intercept(Fixed):
         self.prior = FixedPrecision(precision)
         self.name = name
 
-    def resolve(self, data):
+    def resolve(self, data, factor):
         self.size = 1
 
     def design(self, data):
@@ -501,11 +554,8 @@ class Iid(_Block):
         self.prior = prior if prior is not None else LogGammaPrior(1.0, 5e-5)
         self.name = name or f"iid_{index}"
 
-    def resolve(self, data):
-        labels = data.labels(self.index)
-        self.levels = list(dict.fromkeys(labels))
-        self.level_of = {l: k for k, l in enumerate(self.levels)}
-        self.row_level = np.array([self.level_of[l] for l in labels], dtype=np.int64)
+    def resolve(self, data, factor):
+        self.levels, self.row_level = factor(self.index)
         self.size = len(self.levels)
 
     def design(self, data):
@@ -531,12 +581,9 @@ class Iid2d(_Block):
         self.prior = prior if prior is not None else Wishart2dPrior(np.eye(2), 4.0)
         self.name = name or f"iid2d_{index}"
 
-    def resolve(self, data):
-        labels = data.labels(self.index)
+    def resolve(self, data, factor):
+        self.levels, self.row_level = factor(self.index)
         data.numeric(self.slope)
-        self.levels = list(dict.fromkeys(labels))
-        self.level_of = {l: k for k, l in enumerate(self.levels)}
-        self.row_level = np.array([self.level_of[l] for l in labels], dtype=np.int64)
         self.size = 2 * len(self.levels)
 
     def design(self, data):
@@ -581,26 +628,29 @@ class Besag(_Block):
         self.prior = prior if prior is not None else LogGammaPrior(1.0, 5e-5)
         self.name = name or f"besag_{index}"
 
-    def resolve(self, data):
-        labels = data.labels(self.index)
-        missing = [l for l in labels if l not in self.graph.index]
+    def resolve(self, data, factor):
+        levels, codes = factor(self.index)
+        node_of = self.graph.index
+        missing = [l for l in levels if l not in node_of]
         if missing:
             raise ModelError(
                 f"index column '{self.index}' has values not in the adjacency "
-                f"graph: {sorted(set(missing))[:5]}")
-        self.row_level = np.array([self.graph.index[l] for l in labels], dtype=np.int64)
+                f"graph: {sorted(missing)[:5]}")
+        self.row_level = np.array([node_of[l] for l in levels], dtype=np.int64)[codes]
         self.size = self.graph.n_nodes
         r = self.graph.structure()
-        rows, cols = np.nonzero(np.tril(r))
+        rows, cols = np.nonzero(r)
+        lower = rows >= cols
+        rows, cols = rows[lower], cols[lower]
         self._structure = (rows, cols, r[rows, cols])
         # log det of K = R + jitter I on the sum-to-zero space, fixed over
         # theta: log det K + log det(C K^-1 C') for the component indicators
         # C.  K maps each indicator to jitter times itself, so C K^-1 C' is
         # diag(component sizes) / jitter.
         sizes = np.bincount(self.graph.components)
+        r.flat[::self.size + 1] += BESAG_JITTER
         self._structure_log_det = float(
-            np.linalg.slogdet(r + BESAG_JITTER * np.eye(self.size))[1]
-            + np.sum(np.log(sizes / BESAG_JITTER)))
+            np.linalg.slogdet(r)[1] + np.sum(np.log(sizes / BESAG_JITTER)))
 
     def design(self, data):
         n = data.n_rows
@@ -650,7 +700,7 @@ class LikelihoodFamily:
         obs = ~np.isnan(y)
         if self.kind == "poisson":
             vals = y[obs]
-            if np.any(vals < 0) or np.any(vals != np.round(vals)):
+            if (vals < 0).any() or (vals != np.rint(vals)).any():
                 raise ModelError("poisson responses must be non-negative integers")
         else:
             if not np.all(np.isfinite(y[obs])):
@@ -694,7 +744,7 @@ class CompiledModel:
         if spec.likelihood.kind == "poisson":
             if spec.likelihood.offset is not None:
                 e = data.numeric(spec.likelihood.offset)
-                if np.any(e <= 0):
+                if (e <= 0).any():
                     raise ModelError(
                         f"offset column '{spec.likelihood.offset}' must be positive")
                 self.exposure = e.astype(float)
@@ -703,11 +753,19 @@ class CompiledModel:
         else:
             self.exposure = None
 
-        # resolve blocks and lay out the latent field: eta first, then blocks
+        # resolve blocks and lay out the latent field: eta first, then
+        # blocks; a label column is canonicalized once for all its blocks
+        factors = {}
+
+        def factor(name):
+            if name not in factors:
+                factors[name] = data.factor(name)
+            return factors[name]
+
         offset = self.n_rows
         self.block_offsets = []
         for blk in spec.blocks:
-            blk.resolve(data)
+            blk.resolve(data, factor)
             self.block_offsets.append(offset)
             offset += blk.size
         self.latent_dim = offset
@@ -751,28 +809,20 @@ class CompiledModel:
         """
         n = self.n_rows
         zdim = self.z_dim
+        blocks = self.spec.blocks
         z_offsets = [off - n for off in self.block_offsets]
 
-        # design entries per data row, block-coordinate columns
-        drows_all = []
-        zcols_all = []
-        dvals_all = []
-        for blk, off in zip(self.spec.blocks, z_offsets):
-            dr, dc, dv = blk.design(data)
-            drows_all.append(dr)
-            zcols_all.append(dc + off)
-            dvals_all.append(dv)
-        if drows_all:
-            drows = np.concatenate(drows_all)
-            zcols = np.concatenate(zcols_all)
-            dvals = np.concatenate(dvals_all)
+        # design entries (data row, z column, value), block after block
+        designs = [blk.design(data) for blk in blocks]
+        if designs:
+            drows, zcols, dvals = (np.concatenate(part) for part in zip(*designs))
+            zcols += np.repeat(z_offsets, [len(d[0]) for d in designs])
         else:
-            drows = np.zeros(0, dtype=np.int64)
-            zcols = np.zeros(0, dtype=np.int64)
+            drows = zcols = np.zeros(0, dtype=np.int64)
             dvals = np.zeros(0)
 
         # block constraint rows, shifted to z coordinates
-        cons = [blk.constraint_rows() for blk in self.spec.blocks]
+        cons = [blk.constraint_rows() for blk in blocks]
         self.z_constraints = np.zeros((sum(len(con) for con in cons), zdim))
         row = 0
         for con, off in zip(cons, z_offsets):
@@ -787,40 +837,43 @@ class CompiledModel:
         # pairs (a <= b) of a row's entries, in block order, are a reshape
         counts = np.bincount(drows, minlength=n)
         k = int(counts[0])
-        if np.any(counts != k):
+        if (counts != k).any():
             raise ModelError("design blocks must give every row the same "
                              "number of entries")
         order = np.argsort(drows, kind="stable").reshape(n, k)
+        row_cols, row_vals = zcols[order], dvals[order]
         ia, ib = np.nonzero(~np.tri(k, k, -1, dtype=bool))     # np.triu_indices(k), faster
-        ca, cb = zcols[order[:, ia]], zcols[order[:, ib]]
-        pr_row = np.repeat(np.arange(n, dtype=np.int64), ia.size)
-        pr_ci = np.maximum(ca, cb).ravel()
-        pr_cj = np.minimum(ca, cb).ravel()
-        pr_vv = (dvals[order[:, ia]] * dvals[order[:, ib]]).ravel()
+        ca, cb = row_cols[:, ia], row_cols[:, ib]
+        self._pair_row = np.repeat(np.arange(n, dtype=np.int64), ia.size)
+        self._pair_ci = np.maximum(ca, cb).ravel()
+        self._pair_cj = np.minimum(ca, cb).ravel()
+        self._pair_vv = (row_vals[:, ia] * row_vals[:, ib]).ravel()
 
-        # per block: (flat positions, base values) per entry, where the
-        # dense z precision holds each prior entry and A'A pair (r, c) at
-        # r * zdim + c and, off the diagonal, also at c * zdim + r; blocks
-        # without hyperparameters are added once, to the matrix and to the
-        # log determinant
-        stamps = []
-        for blk, sl, off in zip(self.spec.blocks, self._block_slices, z_offsets):
-            entries = []
-            for rows, cols, base in blk.prior_entries():
-                take, pos = _mirrored(rows + off, cols + off, zdim)
-                entries.append((pos, np.asarray(base, dtype=float)[take]))
-            stamps.append((blk, sl, entries))
+        # flat positions in the dense z precision of every prior entry,
+        # block by block, and last of the A'A pairs; blocks without
+        # hyperparameters are added once, to the matrix and to the log
+        # determinant
+        priors = [blk.prior_entries() for blk in blocks]
+        entries = ([e for block_entries in priors for e in block_entries]
+                   + [(self._pair_ci, self._pair_cj, self._pair_vv)])
+        sizes = [len(e[0]) for e in entries]
+        shift = np.repeat([off for off, block_entries in zip(z_offsets, priors)
+                           for _ in block_entries] + [0], sizes)
+        rows, cols, base = (np.concatenate(part) for part in zip(*entries))
+        take, pos, bounds = _mirrored(rows + shift, cols + shift, zdim, sizes)
+        values = base[take]
+        pairs_at = bounds[-2]
+        self._pair_take = take[pairs_at:] - (rows.size - sizes[-1])
+        self._pair_pos = pos[pairs_at:]
+        runs = iter(zip(bounds, bounds[1:]))
+        stamps = [(blk, sl, [(pos[a:b], values[a:b]) for _, (a, b) in zip(block_entries, runs)])
+                  for blk, sl, block_entries in zip(blocks, self._block_slices, priors)]
         fixed = [st for st in stamps if st[1].start == st[1].stop]
         self._theta_blocks = [st for st in stamps if st[1].start < st[1].stop]
         self._z_const = _add_stamps(np.zeros((zdim, zdim)), fixed, np.zeros(0))
         self._log_det_const = n * math.log(TIE_PRECISION)
         for blk, _, _ in fixed:
             self._log_det_const += blk.log_det(np.zeros(0))
-        self._pair_row = pr_row
-        self._pair_ci = pr_ci
-        self._pair_cj = pr_cj
-        self._pair_take, self._pair_pos = _mirrored(pr_ci, pr_cj, zdim)
-        self._pair_vv = pr_vv
 
     # -- public assembly surface -------------------------------------------
 
@@ -1002,15 +1055,24 @@ def _add_stamps(q, stamps, theta):
     return q
 
 
-def _mirrored(rows, cols, n):
+def _mirrored(rows, cols, n, sizes):
     """Flat positions of symmetric entries (r, c) in an n x n array.
 
     Each entry sits at r * n + c and, off the diagonal, also at c * n + r.
-    Returns (take, positions): position k holds entry take[k].
+    The entries come in consecutive runs of the given sizes, and so do the
+    positions: each run's own positions first, then its mirrored ones.
+    Returns (take, positions, bounds): position k holds entry take[k], and
+    run i has the positions bounds[i]:bounds[i + 1].
     """
     off = np.flatnonzero(rows != cols)
-    take = np.concatenate([np.arange(rows.size), off])
-    return take, np.concatenate([rows * n + cols, cols[off] * n + rows[off]])
+    ends = list(itertools.accumulate(sizes))
+    cuts = np.searchsorted(off, ends).tolist()           # runs' ends in off
+    spans = list(zip([0] + ends, ends, [0] + cuts, cuts))
+    idx = np.arange(rows.size)
+    own, mirror = rows * n + cols, cols[off] * n + rows[off]
+    take = np.concatenate([x for a, b, c, d in spans for x in (idx[a:b], off[c:d])])
+    pos = np.concatenate([x for a, b, c, d in spans for x in (own[a:b], mirror[c:d])])
+    return take, pos, [0] + [b + d for _, b, _, d in spans]
 
 
 def _gammaln_vec(x):

@@ -47,6 +47,18 @@ class TestDataTable:
         dt = DataTable({"g": col})
         assert dt.labels("g") == [canonical_label(v) for v in dt.columns["g"]]
 
+    def test_factor_levels_in_first_appearance_order(self):
+        dt = DataTable({"g": ["b", "01", "a", " 1", "b", "1.0"]})
+        levels, codes = dt.factor("g")
+        assert levels == ["b", "1", "a"]
+        assert codes.tolist() == [0, 1, 2, 1, 0, 1]
+        assert dt.labels("g") == ["b", "1", "a", "1", "b", "1"]
+
+    def test_factor_rejects_missing(self):
+        for col in (["a", None], [1.0, np.nan]):
+            with pytest.raises(ModelError, match="missing values"):
+                DataTable({"g": col}).factor("g")
+
     def test_numeric_rejects_missing_by_default(self):
         dt = DataTable({"x": [1.0, np.nan]})
         with pytest.raises(ModelError):
@@ -74,6 +86,69 @@ class TestCsvReader:
         with pytest.raises(ModelError):
             read_data_csv(str(p))
 
+    @pytest.mark.parametrize("header", ["a,a", "a,b,a", " a ,b,a"])
+    def test_duplicate_header_rejected(self, tmp_path, header):
+        # a repeated name must not merge two columns into one
+        p = tmp_path / "d.csv"
+        width = header.count(",") + 1
+        p.write_text(header + "\n" + ",".join(["1"] * width) + "\n"
+                     + ",".join(["2"] * width) + "\n")
+        with pytest.raises(ModelError, match="duplicate column name 'a'"):
+            read_data_csv(str(p))
+
+    @pytest.mark.parametrize("header, position", [("a,,b", 2), ("a,b,", 3), (" ,a", 1)])
+    def test_empty_header_name_rejected(self, tmp_path, header, position):
+        p = tmp_path / "d.csv"
+        p.write_text(header + "\n" + ",".join(["1"] * (header.count(",") + 1)) + "\n")
+        with pytest.raises(ModelError, match=f"header column {position} has no name"):
+            read_data_csv(str(p))
+
+    def test_crlf_blank_lines_and_padding(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b" y , g \r\n\r\n 1.5 , a \r\n   \r\nNA,b\r\n")
+        dt = read_data_csv(str(p))
+        assert list(dt.columns) == ["y", "g"]
+        assert dt.columns["y"][0] == 1.5 and np.isnan(dt.columns["y"][1])
+        assert dt.columns["g"].tolist() == ["a", "b"]
+
+    def test_column_types(self, tmp_path):
+        # numeric when every field but NA parses as a float, else strings
+        p = tmp_path / "d.csv"
+        p.write_text("x,s,t,u\n1,1,NA,nan\n2.5,b,NA,1e3\nNA,NA,NA,-inf\n")
+        dt = read_data_csv(str(p))
+        assert dt.columns["x"].dtype == float and np.isnan(dt.columns["x"][2])
+        assert dt.columns["s"].tolist() == ["1", "b", None]
+        assert dt.columns["t"].dtype == float and np.isnan(dt.columns["t"]).all()
+        assert dt.columns["u"].dtype == float and dt.columns["u"][2] == -math.inf
+
+    def test_header_only_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("y,g\n\n")
+        with pytest.raises(ModelError, match="at least one row"):
+            read_data_csv(str(p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+        st.lists(st.one_of(st.none(), st.floats(allow_infinity=False, allow_nan=False)),
+                 min_size=n, max_size=n),
+        st.lists(st.one_of(st.none(), st.from_regex(r"s[a-z0-9_.]{0,5}", fullmatch=True)),
+                 min_size=n, max_size=n))))
+    def test_roundtrip_through_data_to_csv(self, tmp_path_factory, cols):
+        from lgmsplit.datasets import data_to_csv
+        x, s = cols
+        table = DataTable({"x": [np.nan if v is None else v for v in x],
+                           "s": np.array(s, dtype=object)})
+        p = tmp_path_factory.mktemp("csv") / "d.csv"
+        p.write_text(data_to_csv(table))
+        back = read_data_csv(str(p))
+        assert list(back.columns) == ["x", "s"]
+        assert back.columns["x"].dtype == float
+        assert np.array_equal(back.columns["x"], table.columns["x"], equal_nan=True)
+        if all(v is None for v in s):       # an all-NA column reads as numeric
+            assert np.isnan(back.columns["s"]).all()
+        else:
+            assert back.columns["s"].tolist() == s
+
 
 class TestAdjacency:
     def test_reader(self, tmp_path):
@@ -98,6 +173,66 @@ class TestAdjacency:
         g = AdjacencyGraph(["a", "b", "c", "d"], [[1], [0], [3], [2]])
         assert g.n_components == 2
         assert list(g.components) == [0, 0, 1, 1]
+
+    def test_neighbours_sorted_and_unique(self):
+        g = AdjacencyGraph(["a", "b", "c"], [[2, 1, 1], [0], [0, 0]])
+        assert g.neighbors == [[1, 2], [0], [0]]
+        assert g.degrees.tolist() == [2, 1, 1]
+        assert g.structure().tolist() == [[2, -1, -1], [-1, 1, 0], [-1, 0, 1]]
+
+    @pytest.mark.parametrize("neighbors, index", [([[1], [0, 5]], 5), ([[1, -1], [0]], -1)])
+    def test_out_of_range_neighbour(self, neighbors, index):
+        with pytest.raises(ModelError, match=f"neighbor index {index} out of range"):
+            AdjacencyGraph(["a", "b"], neighbors)
+
+    def test_self_loop_names_first_node_in_file_order(self):
+        # self loops are reported before any range or symmetry error
+        with pytest.raises(ModelError, match="^self loop at node 'b'$"):
+            AdjacencyGraph(["a", "b", "c"], [[7], [1, 2], [2]])
+
+    @pytest.mark.parametrize("neighbors, message", [
+        # the first offending node in file order, its neighbours in order
+        ([[2, 1], [], [0]], "'a' lists 'b' but not vice versa"),
+        ([[1], [0, 2], []], "'b' lists 'c' but not vice versa"),
+        ([[2], [5], []], "'a' lists 'c' but not vice versa"),
+    ])
+    def test_asymmetry_names_first_offender(self, neighbors, message):
+        with pytest.raises(ModelError, match=f"^adjacency not symmetric: {message}$"):
+            AdjacencyGraph(["a", "b", "c"], neighbors)
+
+    def test_neighbor_list_count_must_match_labels(self):
+        with pytest.raises(ModelError, match="3 nodes but 2 neighbor lists"):
+            AdjacencyGraph(["a", "b", "c"], [[1], [0]])
+
+    def test_range_error_before_later_asymmetry(self):
+        with pytest.raises(ModelError, match="neighbor index 9 out of range"):
+            AdjacencyGraph(["a", "b", "c"], [[1, 9], [0, 2], []])
+
+    def test_unknown_node_token(self, tmp_path):
+        p = tmp_path / "g.graph"
+        p.write_text("1: 2\n2: 1 03\n")
+        with pytest.raises(ModelError, match="adjacency references unknown node '3'"):
+            read_adjacency(str(p))
+
+    def test_line_without_colon(self, tmp_path):
+        p = tmp_path / "g.graph"
+        p.write_text("1: 2\n2 1\n")
+        with pytest.raises(ModelError, match="malformed adjacency line: '2 1'"):
+            read_adjacency(str(p))
+
+    def test_duplicate_ids_after_canonicalization(self, tmp_path):
+        p = tmp_path / "g.graph"
+        p.write_text("1: 2\n2: 1\n1.0: 2\n")
+        with pytest.raises(ModelError, match="duplicate node ids"):
+            read_adjacency(str(p))
+
+    def test_crlf_comments_and_canonical_ids(self, tmp_path):
+        p = tmp_path / "g.graph"
+        p.write_bytes(b"# a comment\r\n01: 2.0  3\r\n\r\n 2 : 1\r\n#3: 1\r\n3: 1.0\r\n")
+        g = read_adjacency(str(p))
+        assert g.labels == ["1", "2", "3"]
+        assert g.neighbors == [[1, 2], [0], [0]]
+        assert g.n_components == 1
 
 
 class TestBuildModel:
@@ -586,6 +721,36 @@ class TestModelJson:
         assert isinstance(spec.theta_prior, GaussianThetaPrior)
         assert m.log_prior_theta(np.zeros(1)) == pytest.approx(
             -0.5 * math.log(2 * math.pi))
+
+
+class TestFilesToModel:
+    def test_lattice_files_build_the_generated_model(self, tmp_path):
+        from lgmsplit.datasets import generate_lattice, write_lattice_files
+        csv_path, model_path, _ = write_lattice_files(str(tmp_path), 4, 3, 1)
+        read = build_model(read_model_json(model_path, read_data_csv(csv_path)))
+        generated = build_model(generate_lattice(4, 3, 1)[1])
+        for name in ("design", "z_constraints", "_z_const", "_pair_pos", "_pair_take",
+                     "_pair_vv", "response", "exposure"):
+            assert np.array_equal(getattr(read, name), getattr(generated, name)), name
+        assert read.latent_labels() == generated.latent_labels()
+
+    def test_label_column_canonicalized_once_per_build(self, monkeypatch):
+        # the lattice's besag and iid blocks both index county; a second
+        # build reads the column again
+        from lgmsplit.datasets import generate_lattice
+        calls = []
+        factor = DataTable.factor
+
+        def counting(self, name):
+            calls.append(name)
+            return factor(self, name)
+
+        monkeypatch.setattr(DataTable, "factor", counting)
+        spec = generate_lattice(4, 3, 1)[1]
+        build_model(spec)
+        assert calls == ["county"]
+        build_model(spec)
+        assert calls == ["county", "county"]
 
 
 class TestPriors:
